@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tree_cipher
 from .errors import ConfigurationError
-from .field import Field, next_prime
+from .field import prime_field
 from .ledger import ChainState, hash_step, hash_field
 from .shamir import Share, split
 from .tree_cipher import CipherKey, RootedTree, corruption_oracle, sample_key
@@ -57,7 +57,7 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> Tr
     """
     if m < 2:
         raise ConfigurationError("need m >= 2 for a corruption trial")
-    f = Field(next_prime(2**field_bits))
+    f = prime_field(field_bits)
     q = f.modulus
     rng = random.Random(seed)
     successes = 0
@@ -298,7 +298,7 @@ def rewrite_zone_block(state: ChainState, t: int, z: int, payload: bytes, rng) -
     prev = state.zone_prev_hash(t, z)
     if prev is None:
         prev = state.hashes[t]
-    state._encode_zone(t, z, members, payload, prev, rng, state.records[t])
+    state._encode_zone(members, payload, prev, rng, state.records[t])
 
 
 def rewrite_chain_suffix(state: ChainState, t: int, payload: bytes, rng) -> None:

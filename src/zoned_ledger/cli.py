@@ -3,17 +3,13 @@
 Subcommands: simulate, attack, availability, mining, storage-cost,
 coverage. Every run is a pure function of (config, seed): records are
 emitted as sorted JSON lines (to --out or stdout) followed by an
-aligned summary table on stdout. ZONED_LEDGER_THREADS caps the worker
-pool used to fan independent sweep points out (0 = auto); the byte
-output never depends on it.
+aligned summary table on stdout.
 """
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import adversary, mining, zones
 from .errors import ConfigurationError
@@ -21,25 +17,6 @@ from .ledger import ChainConfig, ChainState, storage_cost_formula
 from .recovery import recover_block
 
 DEFAULT_FRACTIONS = [2**-4, 2**-6, 2**-8, 2**-10, 2**-12]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ZONED_LEDGER_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"ZONED_LEDGER_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigurationError("ZONED_LEDGER_THREADS must be >= 0")
-    return value or min(8, os.cpu_count() or 1)
-
-
-def _fan_out(fn, items):
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(records, summary_rows, out_path):
@@ -83,15 +60,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    def run(c):
+    records = []
+    for c in range(1, args.m + 1):
         s = adversary.zone_corruption_trial(args.m, c, args.trials, args.seed + c)
-        return {
+        records.append({
             "kind": "zone_corruption", "m": args.m, "c": c,
             "trials": s.trials, "successes": s.successes,
             "estimate": s.estimate, "bound": s.bound,
             "sigma": s.sigma, "seed": s.seed,
-        }
-    records = _fan_out(run, list(range(1, args.m + 1)))
+        })
     rows = [("c", "estimate", "bound", "within_bound")]
     for r in sorted(records, key=lambda r: r["c"]):
         rows.append((r["c"], f"{r['estimate']:.5f}", f"{r['bound']:.5f}",
@@ -119,15 +96,12 @@ def cmd_availability(args) -> int:
 def cmd_mining(args) -> int:
     fractions = (DEFAULT_FRACTIONS if args.target_fraction is None
                  else [args.target_fraction])
-
-    def run(item):
-        i, fraction = item
+    records = []
+    for i, fraction in enumerate(fractions):
         target = mining.DifficultyTarget(args.hash_width, fraction)
-        stats = mining.mining_trials(target, args.nonce_bits, args.trials,
-                                     args.seed + i)
+        stats = mining.mining_trials(target, args.nonce_bits, args.trials, args.seed + i)
         stats["kind"] = "mining"
-        return stats
-    records = _fan_out(run, list(enumerate(fractions)))
+        records.append(stats)
     rows = [("fraction", "runs", "mean_tries", "law")]
     for r in sorted(records, key=lambda r: -r["target_fraction"]):
         rows.append((f"{r['target_fraction']:.8f}", r["runs"],

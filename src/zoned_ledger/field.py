@@ -4,6 +4,8 @@ Elements are plain Python ints reduced modulo the field prime; the
 ``Field`` object carries the modulus so values stay lightweight.
 """
 
+from functools import cache
+
 from .errors import ConfigurationError
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
@@ -102,3 +104,9 @@ class Field:
                 den = den * (xi - xj) % mod
             total = (total + yi * num * pow(den, -1, mod)) % mod
         return total
+
+
+@cache
+def prime_field(bits: int) -> Field:
+    """The field of the smallest prime above 2^bits: every bits-bit value is an element."""
+    return Field(next_prime(2**bits))

@@ -14,18 +14,11 @@ from dataclasses import dataclass, field
 
 from . import shamir, tree_cipher, zones
 from .errors import ConfigurationError, UnrepairableError
-from .field import Field, next_prime
+from .field import prime_field
 
 GENESIS_HASH = 0
 
-_hash_fields: dict[int, Field] = {}
-
-
-def hash_field(width: int) -> Field:
-    """Prime sharing field just above 2^width, cached per width."""
-    if width not in _hash_fields:
-        _hash_fields[width] = Field(next_prime(2**width))
-    return _hash_fields[width]
+hash_field = prime_field  # the sharing field of width-bit hash values
 
 
 def hash_step(prev: int, payload: bytes, width: int = 64) -> int:
@@ -55,10 +48,8 @@ class ChainConfig:
 @dataclass
 class PeerSlotRecord:
     fragment: bytes
-    key_shares: tuple[shamir.Share, ...]
+    key_share: shamir.Share
     hash_share: shamir.Share
-    local_assignment: int
-    zone: int
 
 
 class ChainState:
@@ -80,23 +71,16 @@ class ChainState:
     def allocation(self, t: int) -> list[tuple[int, ...]]:
         return zones.allocation_at(self.layout, t)
 
-    def _encode_zone(self, t: int, zone_idx: int, members, payload: bytes,
-                     prev_hash: int, rng, slot_records) -> None:
+    def _encode_zone(self, members, payload: bytes, prev_hash: int, rng,
+                     slot_records) -> None:
         cfg = self.config
         key = tree_cipher.sample_key(cfg.m, rng)
         fragments = tree_cipher.encrypt(payload, key)
-        key_share_lists = shamir.split_bytes(tree_cipher.serialize_key(key),
-                                             cfg.m, cfg.m, rng)
+        key_shares = shamir.split_bytes(tree_cipher.serialize_key(key), cfg.m, cfg.m, rng)
         hash_shares = shamir.split(hash_field(cfg.hash_width), prev_hash,
                                    cfg.m, cfg.m, rng)
         for j, peer in enumerate(sorted(members)):
-            slot_records[peer] = PeerSlotRecord(
-                fragment=fragments[j],
-                key_shares=tuple(key_share_lists[j]),
-                hash_share=hash_shares[j],
-                local_assignment=key.assignment[j],
-                zone=zone_idx,
-            )
+            slot_records[peer] = PeerSlotRecord(fragments[j], key_shares[j], hash_shares[j])
 
     def commit_block(self, payload: bytes, rng) -> None:
         if len(payload) != self.config.block_bytes:
@@ -105,8 +89,8 @@ class ChainState:
         t = self.num_blocks
         prev = self.hashes[t]
         slot_records: dict[int, PeerSlotRecord] = {}
-        for z, members in enumerate(self.allocation(t)):
-            self._encode_zone(t, z, members, payload, prev, rng, slot_records)
+        for members in self.allocation(t):
+            self._encode_zone(members, payload, prev, rng, slot_records)
         self.payloads.append(payload)
         self.hashes.append(hash_step(prev, payload, self.config.hash_width))
         self.records.append(slot_records)
@@ -130,22 +114,27 @@ class ChainState:
         m = self.config.m
         try:
             key_bytes = shamir.reconstruct_bytes(
-                [r.key_shares for r in recs], m, tree_cipher.key_nbytes(m))
+                [r.key_share for r in recs], m, tree_cipher.key_nbytes(m))
             key = tree_cipher.deserialize_key(key_bytes, m)
             return tree_cipher.decrypt([r.fragment for r in recs], key)
-        except (ValueError, OverflowError):
+        except ValueError:
             return None
 
     def zone_prev_hash(self, t: int, z: int) -> int | None:
-        """Reconstruct the H_{t-1} value shared across zone z at slot t."""
+        """Reconstruct the H_{t-1} value shared across zone z at slot t.
+
+        None if the zone cannot decode it or the value is no width-bit hash.
+        """
         recs = self.zone_records(t, z)
         if recs is None:
             return None
-        f = hash_field(self.config.hash_width)
+        width = self.config.hash_width
         try:
-            return shamir.reconstruct(f, [r.hash_share for r in recs], self.config.m)
+            value = shamir.reconstruct(hash_field(width), [r.hash_share for r in recs],
+                                       self.config.m)
         except ValueError:
             return None
+        return None if value >> width else value
 
     def repair_zone(self, t: int, z: int, rng) -> None:
         """Recode zone z at slot t with a fresh key, using a donor zone."""
@@ -162,17 +151,17 @@ class ChainState:
         if payload is None:
             raise UnrepairableError(f"no intact donor zone for slot {t}")
         members = self.allocation(t)[z]
-        self._encode_zone(t, z, members, payload, prev_hash, rng, self.records[t])
+        self._encode_zone(members, payload, prev_hash, rng, self.records[t])
 
     def storage_cost_measured(self, peer: int, slot: int) -> float:
         """Bits actually stored by one peer for one slot."""
         rec = self.records[slot].get(peer)
         if rec is None:
             raise LookupError(f"no record for peer {peer} at slot {slot}")
-        share_bits = shamir.SHARING_PRIME.bit_length()
+        key_bits = prime_field(8 * tree_cipher.key_nbytes(self.config.m)).modulus.bit_length()
         hash_bits = hash_field(self.config.hash_width).modulus.bit_length()
         bits = 8 * len(rec.fragment)
-        bits += len(rec.key_shares) * 2 * share_bits
+        bits += 2 * key_bits  # (x, y) of the key share
         bits += 2 * hash_bits  # (x, y) of the hash share
         bits += max(1, math.ceil(math.log2(self.config.m)))
         return float(bits)
@@ -210,10 +199,9 @@ def snapshot_save(state: ChainState, path) -> None:
             for peer in sorted(state.records[t]):
                 r = state.records[t][peer]
                 fh.write(json.dumps({
-                    "type": "record", "t": t, "peer": peer, "zone": r.zone,
-                    "assignment": r.local_assignment,
+                    "type": "record", "t": t, "peer": peer,
                     "fragment": r.fragment.hex(),
-                    "key_shares": [[s.x, s.y] for s in r.key_shares],
+                    "key_share": [r.key_share.x, r.key_share.y],
                     "hash_share": [r.hash_share.x, r.hash_share.y],
                 }, sort_keys=True) + "\n")
 
@@ -239,10 +227,8 @@ def snapshot_load(path) -> ChainState:
             elif rec["type"] == "record":
                 state.records[rec["t"]][rec["peer"]] = PeerSlotRecord(
                     fragment=bytes.fromhex(rec["fragment"]),
-                    key_shares=tuple(shamir.Share(x, y) for x, y in rec["key_shares"]),
+                    key_share=shamir.Share(*rec["key_share"]),
                     hash_share=shamir.Share(*rec["hash_share"]),
-                    local_assignment=rec["assignment"],
-                    zone=rec["zone"],
                 )
             else:
                 raise ValueError(f"unknown snapshot record type {rec['type']!r}")

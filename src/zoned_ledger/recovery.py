@@ -68,8 +68,11 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
         for tau in range(t, last_tau + 1):
             alloc_tau = state.allocation(tau)
             alloc_next = state.allocation(tau + 1)
-            blocks_tau = {z: state.zone_candidate(tau, z) for z in range(len(alloc_tau))}
-            prev_tau = {z: state.zone_prev_hash(tau, z) for z in range(len(alloc_tau))}
+            if tau == t:  # later slots reuse the previous slot's next_hash
+                blocks_tau = candidates
+                prev_tau = {z: state.zone_prev_hash(tau, z) for z in range(len(alloc_tau))}
+            else:
+                blocks_tau = {z: state.zone_candidate(tau, z) for z in range(len(alloc_tau))}
             next_hash = {z: state.zone_prev_hash(tau + 1, z) for z in range(len(alloc_next))}
             recomputed = {
                 z: hash_step(prev_tau[z], blocks_tau[z], cfg.hash_width)
@@ -87,6 +90,7 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
             active -= dropped
             report.eliminated_peers |= dropped
             report.slots_scanned += 1
+            prev_tau = next_hash  # H_tau as shared by the zones of slot tau + 1
             if len(_surviving_candidates(candidates, alloc_t, active)) <= 1:
                 break
 

@@ -2,20 +2,15 @@
 
 Abscissas are drawn uniformly without replacement from the nonzero field
 elements, so a share is the full point (x, y), not just the ordinate.
-Byte-string secrets are chunked into 7-byte field elements of a fixed
-61-bit Mersenne-prime sharing field and each chunk is shared
-independently.
+A byte-string secret is read as one big-endian integer and shared as a
+single element of the smallest prime field above 2^(8 * its length), the
+same way a hash value is shared in the field just above 2^width.
 """
 
 from typing import NamedTuple
 
-from .errors import ConfigurationError, InsufficientSharesError
-from .field import Field
-
-SHARING_PRIME = 2**61 - 1
-CHUNK_BYTES = 7
-
-_sharing_field = Field(SHARING_PRIME)
+from .errors import ConfigurationError, InsufficientSharesError, KeyDecodeError
+from .field import Field, prime_field
 
 
 class Share(NamedTuple):
@@ -59,31 +54,18 @@ def reconstruct(field: Field, shares, k: int) -> int:
     return field.lagrange_interpolate(shares[:k], 0)
 
 
-def split_bytes(secret: bytes, k: int, n: int, rng,
-                field: Field = _sharing_field) -> list[list[Share]]:
-    """Share a byte string; returns one list of per-chunk shares per party.
+def split_bytes(secret: bytes, k: int, n: int, rng) -> list[Share]:
+    """Share a byte string; returns one share per party.
 
     The byte length is not embedded in the shares; callers keep it as
     cleartext metadata and pass it to reconstruct_bytes.
     """
-    per_party: list[list[Share]] = [[] for _ in range(n)]
-    for off in range(0, len(secret), CHUNK_BYTES):
-        chunk = int.from_bytes(secret[off:off + CHUNK_BYTES], "big")
-        for party, share in enumerate(split(field, chunk, k, n, rng)):
-            per_party[party].append(share)
-    return per_party
+    return split(prime_field(8 * len(secret)), int.from_bytes(secret, "big"), k, n, rng)
 
 
-def reconstruct_bytes(share_lists, k: int, nbytes: int,
-                      field: Field = _sharing_field) -> bytes:
-    """Invert split_bytes given >= k parties' share lists."""
-    share_lists = list(share_lists)
-    if len(share_lists) < k:
-        raise InsufficientSharesError(f"got {len(share_lists)} share lists, need {k}")
-    nchunks = (nbytes + CHUNK_BYTES - 1) // CHUNK_BYTES
-    out = bytearray()
-    for j in range(nchunks):
-        value = reconstruct(field, [lst[j] for lst in share_lists], k)
-        width = CHUNK_BYTES if j < nchunks - 1 else nbytes - CHUNK_BYTES * (nchunks - 1)
-        out += value.to_bytes(width, "big")
-    return bytes(out)
+def reconstruct_bytes(shares, k: int, nbytes: int) -> bytes:
+    """Invert split_bytes given >= k parties' shares."""
+    value = reconstruct(prime_field(8 * nbytes), shares, k)
+    if value >> (8 * nbytes):
+        raise KeyDecodeError(f"shared value does not fit in {nbytes} bytes")
+    return value.to_bytes(nbytes, "big")

@@ -85,12 +85,6 @@ class CipherKey:
         if sorted(self.assignment) != list(range(m)):
             raise ValueError("assignment must be a permutation of [m]")
 
-    def inverse_assignment(self) -> tuple[int, ...]:
-        inv = [0] * self.m
-        for peer, node in enumerate(self.assignment):
-            inv[node] = peer
-        return tuple(inv)
-
 
 def tree_from_prufer(seq, m: int, root: int) -> RootedTree:
     """Build the labeled tree of a Prufer sequence and orient it at root."""

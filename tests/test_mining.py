@@ -136,8 +136,6 @@ def test_scheme_cost_comparison_shape():
                                  runs=300, seed=2)
     assert out["scheme_hash_evals"] == 1
     assert out["pow_mean_hash_evals"] > out["scheme_hash_evals"]
-    # each peer stores one hash share plus one key share per 7-byte chunk
-    from zoned_ledger.tree_cipher import key_nbytes
-    chunks = -(-key_nbytes(4) // 7)
-    assert out["scheme_share_evaluations"] == 8 * (1 + chunks)
+    # each of the 8 peers stores one key share and one hash share
+    assert out["scheme_share_evaluations"] == 8 * 2
     assert abs(out["pow_mean_hash_evals"] - out["pow_law"]) < out["pow_law"]

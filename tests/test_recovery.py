@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
 from zoned_ledger.errors import AmbiguousRecoveryError, UnrecoverableError
-from zoned_ledger.ledger import ChainConfig, ChainState
+from zoned_ledger.ledger import ChainConfig, ChainState, hash_field
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
+from zoned_ledger.shamir import split
 
 
 def make_chain(n=24, m=4, block_bytes=32, blocks=8, seed=0):
@@ -93,6 +95,52 @@ def test_elimination_requires_a_failed_comparison():
     state, _ = make_chain(n=16, m=4, blocks=6, seed=11)
     for t in range(6):
         assert recover_block(state, t).eliminated_peers == set()
+
+
+@pytest.mark.parametrize("plant_first", [True, False],
+                         ids=["planted_then_rewritten", "rewritten_then_planted"])
+def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
+    # zone 0 of slot 0 is rewritten, and its previous-hash shares are set to
+    # 2^width + 1: an element of the sharing field that is no width-bit hash
+    state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=17)
+    cfg = state.config
+    forged = bytes(b ^ 0xFF for b in state.payloads[0])
+
+    def plant():
+        shares = split(hash_field(cfg.hash_width), 2**cfg.hash_width + 1,
+                       cfg.m, cfg.m, rng)
+        for share, peer in zip(shares, sorted(state.allocation(0)[0])):
+            state.records[0][peer].hash_share = share
+
+    if plant_first:
+        plant()
+        rewrite_zone_block(state, 0, 0, forged, rng)
+    else:
+        rewrite_zone_block(state, 0, 0, forged, rng)
+        plant()
+        assert state.zone_prev_hash(0, 0) is None
+    assert state.zone_candidate(0, 0) == forged
+    assert recover_block(state, 0).recovered == state.payloads[0]
+
+
+def test_recover_block_decodes_each_zone_once(monkeypatch):
+    state, rng = make_chain(n=24, m=4, blocks=8, seed=2)
+    t = 2
+    rewrite_zone_block(state, t, 0, bytes(32), rng)
+    # one rewritten peer loses its slot t+1 record, so its hash check goes
+    # unanswered and the scan runs the whole chain suffix
+    state.erase_peer_record(t + 1, state.allocation(t)[0][0])
+    decodes = Counter()
+    for name in ("zone_candidate", "zone_prev_hash"):
+        def counted(self, tau, z, _name=name, _decode=getattr(ChainState, name)):
+            decodes[_name, tau, z] += 1
+            return _decode(self, tau, z)
+        monkeypatch.setattr(ChainState, name, counted)
+    report = recover_block(state, t)
+    assert report.recovered == state.payloads[t]
+    assert report.slots_scanned == state.num_blocks - 1 - t
+    twice = [key for key, count in decodes.items() if count > 1]
+    assert twice == []
 
 
 def test_report_json_round_trippable():

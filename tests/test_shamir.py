@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from zoned_ledger.errors import ConfigurationError, InsufficientSharesError
-from zoned_ledger.field import Field
+from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
+                                 KeyDecodeError)
+from zoned_ledger.field import Field, prime_field
 from zoned_ledger.shamir import (Share, reconstruct, reconstruct_bytes, split,
                                  split_bytes)
 
@@ -109,7 +110,31 @@ def test_conditional_final_share_uncertainty_gf7():
 ])
 def test_split_bytes_round_trip(secret, k, n):
     rng = random.Random(len(secret))
-    lists = split_bytes(secret, k, n, rng)
-    assert len(lists) == n
-    assert reconstruct_bytes(lists[:k], k, len(secret)) == secret
-    assert reconstruct_bytes(lists[n - k:], k, len(secret)) == secret
+    if not secret:
+        # b"" is shared in GF(2), which has a single nonzero abscissa
+        with pytest.raises(ConfigurationError):
+            split_bytes(secret, k, n, rng)
+        return
+    shares = split_bytes(secret, k, n, rng)
+    assert len(shares) == n
+    assert all(isinstance(s, Share) for s in shares)
+    assert reconstruct_bytes(shares[:k], k, len(secret)) == secret
+    assert reconstruct_bytes(shares[n - k:], k, len(secret)) == secret
+
+
+@pytest.mark.parametrize("nbytes", [1, 8, 33])
+def test_tampered_byte_shares_decode_or_raise_key_decode_error(nbytes):
+    f = prime_field(8 * nbytes)
+    rng = random.Random(nbytes)
+    for _ in range(300):
+        shares = split_bytes(rng.randbytes(nbytes), 4, 4, rng)
+        j = rng.randrange(4)
+        shares[j] = Share(shares[j].x, f.rand(rng))
+        try:
+            assert len(reconstruct_bytes(shares, 4, nbytes)) == nbytes
+        except KeyDecodeError:
+            pass
+    # field elements past the byte width: the smallest and the largest
+    for value in (2**(8 * nbytes), f.modulus - 1):
+        with pytest.raises(KeyDecodeError):
+            reconstruct_bytes(split(f, value, 4, 4, rng), 4, nbytes)
