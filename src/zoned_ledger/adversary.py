@@ -314,7 +314,7 @@ def rewrite_chain_suffix(state: ChainState, t: int, payload: bytes, rng) -> None
         alloc = state.allocation(tau)
         for z, members in enumerate(alloc):
             shares = split(f, forged, cfg.m, cfg.m, rng)
-            for j, peer in enumerate(sorted(members)):
+            for j, peer in enumerate(members):
                 rec = state.records[tau].get(peer)
                 if rec is not None:
                     rec.hash_share = shares[j]

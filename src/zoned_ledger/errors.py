@@ -13,6 +13,10 @@ class KeyDecodeError(ValueError):
     """Serialized cipher key bytes are malformed."""
 
 
+class SnapshotError(ValueError):
+    """A chain snapshot file is malformed or inconsistent."""
+
+
 class UnrecoverableError(RuntimeError):
     """No zone can produce a candidate block for the requested slot."""
 

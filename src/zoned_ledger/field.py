@@ -2,6 +2,8 @@
 
 Elements are plain Python ints reduced modulo the field prime; the
 ``Field`` object carries the modulus so values stay lightweight.
+Lagrange interpolation takes one modular inversion per call, however
+many points it is given.
 """
 
 from functools import cache
@@ -86,24 +88,46 @@ class Field:
     def lagrange_interpolate(self, points, x0: int) -> int:
         """Value at x0 of the unique degree-(len-1) polynomial through points.
 
-        points is a sequence of (x, y) pairs with distinct x.
+        points is a sequence of (x, y) pairs with distinct x. The
+        numerators prod_{j != i}(x0 - x_j) come from prefix and suffix
+        products, and all the denominators prod_{j != i}(x_i - x_j) are
+        inverted together (Montgomery's trick): one modular inversion
+        per call.
         """
         if not points:
             raise ValueError("need at least one point")
-        xs = [x % self.modulus for x, _ in points]
+        mod = self.modulus
+        xs = [x % mod for x, _ in points]
         if len(set(xs)) != len(xs):
             raise ValueError("duplicate abscissa in interpolation points")
-        mod = self.modulus
+        k = len(xs)
+        nums = [1] * k
+        acc = 1
+        for i, xi in enumerate(xs):
+            nums[i] = acc
+            acc = acc * (x0 - xi) % mod
+        acc = 1
+        for i in range(k - 1, -1, -1):
+            nums[i] = nums[i] * acc % mod
+            acc = acc * (x0 - xs[i]) % mod
+        dens = []
+        below = []  # below[i] = dens[0] * ... * dens[i-1]
+        acc = 1
+        for xi in xs:
+            den = 1
+            for xj in xs:
+                if xj != xi:
+                    den = den * (xi - xj) % mod
+            dens.append(den)
+            below.append(acc)
+            acc = acc * den % mod
+        inv = pow(acc, -1, mod)  # inverse of dens[0] * ... * dens[k-1]
         total = 0
-        for i, (xi, yi) in enumerate(points):
-            num, den = 1, 1
-            for j, (xj, _) in enumerate(points):
-                if i == j:
-                    continue
-                num = num * (x0 - xj) % mod
-                den = den * (xi - xj) % mod
-            total = (total + yi * num * pow(den, -1, mod)) % mod
-        return total
+        for i in range(k - 1, -1, -1):
+            # here inv is the inverse of dens[0] * ... * dens[i]
+            total += points[i][1] * nums[i] * inv * below[i] % mod
+            inv = inv * dens[i] % mod
+        return total % mod
 
 
 @cache

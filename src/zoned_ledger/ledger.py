@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import shamir, tree_cipher, zones
-from .errors import ConfigurationError, UnrepairableError
+from .errors import ConfigurationError, SnapshotError, UnrepairableError
 from .field import prime_field
 
 GENESIS_HASH = 0
@@ -53,7 +53,12 @@ class PeerSlotRecord:
 
 
 class ChainState:
-    """One simulated network: ground truth plus per-peer slot records."""
+    """One simulated network: ground truth plus per-peer slot records.
+
+    The zone schedule repeats every ``layout.period`` slots, so each
+    slot's zones and its peer -> zone array are built once per residue
+    t % period, on first use, and kept in the instance.
+    """
 
     def __init__(self, config: ChainConfig):
         self.config = config
@@ -61,6 +66,8 @@ class ChainState:
         self.payloads: list[bytes] = []
         self.hashes: list[int] = [GENESIS_HASH]  # hashes[t] == H_{t-1} context; see below
         self.records: list[dict[int, PeerSlotRecord]] = []
+        # residue t % period -> (zones of slot t, zone index of each peer)
+        self._schedule: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
     # hashes[0] is the genesis H_0; hashes[t] is H_t = h(H_{t-1}, B_t).
 
@@ -68,8 +75,25 @@ class ChainState:
     def num_blocks(self) -> int:
         return len(self.payloads)
 
-    def allocation(self, t: int) -> list[tuple[int, ...]]:
-        return zones.allocation_at(self.layout, t)
+    def _slot_schedule(self, t: int):
+        r = t % self.layout.period
+        entry = self._schedule.get(r)
+        if entry is None:
+            alloc = tuple(zones.allocation_at(self.layout, r))
+            peer_zone = [0] * self.config.n
+            for z, members in enumerate(alloc):
+                for peer in members:
+                    peer_zone[peer] = z
+            entry = self._schedule[r] = (alloc, tuple(peer_zone))
+        return entry
+
+    def allocation(self, t: int) -> tuple[tuple[int, ...], ...]:
+        """Zones of slot t, each a sorted tuple of peers, as zones.allocation_at gives."""
+        return self._slot_schedule(t)[0]
+
+    def peer_zones(self, t: int) -> tuple[int, ...]:
+        """peer_zones(t)[peer] is the index of peer's zone at slot t."""
+        return self._slot_schedule(t)[1]
 
     def _encode_zone(self, members, payload: bytes, prev_hash: int, rng,
                      slot_records) -> None:
@@ -79,7 +103,7 @@ class ChainState:
         key_shares = shamir.split_bytes(tree_cipher.serialize_key(key), cfg.m, cfg.m, rng)
         hash_shares = shamir.split(hash_field(cfg.hash_width), prev_hash,
                                    cfg.m, cfg.m, rng)
-        for j, peer in enumerate(sorted(members)):
+        for j, peer in enumerate(members):
             slot_records[peer] = PeerSlotRecord(fragments[j], key_shares[j], hash_shares[j])
 
     def commit_block(self, payload: bytes, rng) -> None:
@@ -101,7 +125,7 @@ class ChainState:
     def zone_records(self, t: int, z: int) -> list[PeerSlotRecord] | None:
         """Records of zone z at slot t in peer order, or None if any is missing."""
         members = self.allocation(t)[z]
-        recs = [self.records[t].get(p) for p in sorted(members)]
+        recs = [self.records[t].get(p) for p in members]
         if any(r is None for r in recs):
             return None
         return recs  # type: ignore[return-value]
@@ -206,30 +230,70 @@ def snapshot_save(state: ChainState, path) -> None:
                 }, sort_keys=True) + "\n")
 
 
+def _parse(text: str) -> dict:
+    try:
+        line = json.loads(text)
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot line is not JSON: {exc}") from None
+    if not isinstance(line, dict):
+        raise SnapshotError(f"snapshot line is not a JSON object: {text!r}")
+    return line
+
+
+def _required(line: dict, name: str):
+    try:
+        return line[name]
+    except KeyError:
+        raise SnapshotError(f"snapshot {line.get('type')!r} line lacks {name!r}") from None
+
+
+def _share(line: dict, name: str) -> shamir.Share:
+    value = _required(line, name)
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int for v in value)):
+        raise SnapshotError(f"{name} must be an [x, y] pair of ints, got {value!r}")
+    return shamir.Share(*value)
+
+
+def _hex(line: dict, name: str) -> bytes:
+    value = _required(line, name)
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise SnapshotError(f"{name} must be a hex string, got {value!r}") from None
+
+
 def snapshot_load(path) -> ChainState:
+    """Read a snapshot_save file; malformed input raises SnapshotError."""
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+        header = _parse(fh.readline())
         if header.get("type") != "config":
-            raise ValueError("snapshot must start with a config line")
-        state = ChainState(ChainConfig(
-            n=header["n"], m=header["m"], block_bytes=header["block_bytes"],
-            hash_width=header["hash_width"], seed=header["seed"]))
+            raise SnapshotError("snapshot must start with a config line")
+        state = ChainState(ChainConfig(**{
+            name: _required(header, name)
+            for name in ("n", "m", "block_bytes", "hash_width", "seed")}))
         for line in fh:
-            rec = json.loads(line)
-            if rec["type"] == "slot":
-                payload = bytes.fromhex(rec["payload"])
+            rec = _parse(line)
+            kind = rec.get("type")
+            if kind == "slot":
+                payload = _hex(rec, "payload")
                 prev = state.hashes[-1]
                 state.payloads.append(payload)
-                state.hashes.append(hash_step(prev, payload, header["hash_width"]))
-                if state.hashes[-1] != rec["hash"]:
-                    raise ValueError(f"hash mismatch at slot {rec['t']}")
+                state.hashes.append(hash_step(prev, payload, state.config.hash_width))
+                if state.hashes[-1] != _required(rec, "hash"):
+                    raise SnapshotError(f"hash mismatch at slot {rec.get('t')!r}")
                 state.records.append({})
-            elif rec["type"] == "record":
-                state.records[rec["t"]][rec["peer"]] = PeerSlotRecord(
-                    fragment=bytes.fromhex(rec["fragment"]),
-                    key_share=shamir.Share(*rec["key_share"]),
-                    hash_share=shamir.Share(*rec["hash_share"]),
+            elif kind == "record":
+                t, peer = _required(rec, "t"), _required(rec, "peer")
+                if type(t) is not int or not 0 <= t < len(state.records):
+                    raise SnapshotError(f"record for undeclared slot {t!r}")
+                if type(peer) is not int or not 0 <= peer < state.config.n:
+                    raise SnapshotError(f"record for peer {peer!r} outside range(n)")
+                state.records[t][peer] = PeerSlotRecord(
+                    fragment=_hex(rec, "fragment"),
+                    key_share=_share(rec, "key_share"),
+                    hash_share=_share(rec, "hash_share"),
                 )
             else:
-                raise ValueError(f"unknown snapshot record type {rec['type']!r}")
+                raise SnapshotError(f"unknown snapshot record type {kind!r}")
     return state

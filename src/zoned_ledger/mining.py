@@ -22,8 +22,11 @@ try:
     # the hash object (0.40 us against 0.10 us; 2-vCPU VM, Python 3.11.7,
     # OpenSSL 3.0).
     from _sha256 import sha256 as _fast_sha256
-except ImportError:  # not built into this interpreter
-    _fast_sha256 = hashlib.sha256
+except ImportError:
+    try:  # the same module, renamed in CPython 3.12
+        from _sha2 import sha256 as _fast_sha256
+    except ImportError:  # not built into this interpreter
+        _fast_sha256 = hashlib.sha256
 
 
 @dataclass(frozen=True)

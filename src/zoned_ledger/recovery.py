@@ -5,8 +5,9 @@ candidates disagree, the chain suffix is scanned: for each surviving
 peer, the hash recomputed from its slot-tau zone's decoded block and
 reconstructed previous hash is compared against the hash value
 reconstructed at the peer's slot-(tau+1) zone; peers on the mismatching
-side are eliminated. The majority among surviving peers' zone
-candidates wins.
+side are eliminated, as are the peers of a zone that decodes its block
+but shares no valid previous hash. The majority among surviving peers'
+zone candidates wins.
 """
 
 import json
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import AmbiguousRecoveryError, UnrecoverableError
 from .ledger import ChainState, hash_step
-from .zones import zone_of
 
 
 @dataclass
@@ -39,10 +39,10 @@ class RecoveryReport:
         }, sort_keys=True)
 
 
-def _surviving_candidates(candidates, alloc, active):
+def _surviving_candidates(candidates, peer_zone, active):
     out = set()
     for peer in active:
-        c = candidates[zone_of(alloc, peer)]
+        c = candidates[peer_zone[peer]]
         if c is not None:
             out.add(c)
     return out
@@ -53,8 +53,9 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
     if not 0 <= t < state.num_blocks:
         raise IndexError(f"slot {t} not committed")
     cfg = state.config
-    alloc_t = state.allocation(t)
-    candidates = {z: state.zone_candidate(t, z) for z in range(len(alloc_t))}
+    n_zones = len(state.allocation(t))
+    zones_t = state.peer_zones(t)
+    candidates = {z: state.zone_candidate(t, z) for z in range(n_zones)}
     report = RecoveryReport(recovered=None, per_zone_candidates=candidates)
     if all(c is None for c in candidates.values()):
         raise UnrecoverableError(f"no zone can decode slot {t}")
@@ -66,14 +67,14 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
         if scan_limit is not None:
             last_tau = min(last_tau, t + scan_limit)
         for tau in range(t, last_tau + 1):
-            alloc_tau = state.allocation(tau)
-            alloc_next = state.allocation(tau + 1)
+            zones_tau = state.peer_zones(tau)
+            zones_next = state.peer_zones(tau + 1)
             if tau == t:  # later slots reuse the previous slot's next_hash
                 blocks_tau = candidates
-                prev_tau = {z: state.zone_prev_hash(tau, z) for z in range(len(alloc_tau))}
+                prev_tau = {z: state.zone_prev_hash(tau, z) for z in range(n_zones)}
             else:
-                blocks_tau = {z: state.zone_candidate(tau, z) for z in range(len(alloc_tau))}
-            next_hash = {z: state.zone_prev_hash(tau + 1, z) for z in range(len(alloc_next))}
+                blocks_tau = {z: state.zone_candidate(tau, z) for z in range(n_zones)}
+            next_hash = {z: state.zone_prev_hash(tau + 1, z) for z in range(n_zones)}
             recomputed = {
                 z: hash_step(prev_tau[z], blocks_tau[z], cfg.hash_width)
                 for z in blocks_tau
@@ -81,8 +82,11 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
             }
             dropped = set()
             for peer in active:
-                z = zone_of(alloc_tau, peer)
-                z_next = zone_of(alloc_next, peer)
+                z = zones_tau[peer]
+                if blocks_tau[z] is not None and prev_tau[z] is None:
+                    dropped.add(peer)  # decodes a block, but no H_{tau-1} to chain it to
+                    continue
+                z_next = zones_next[peer]
                 if z not in recomputed or next_hash[z_next] is None:
                     continue
                 if recomputed[z] != next_hash[z_next]:
@@ -91,12 +95,12 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
             report.eliminated_peers |= dropped
             report.slots_scanned += 1
             prev_tau = next_hash  # H_tau as shared by the zones of slot tau + 1
-            if len(_surviving_candidates(candidates, alloc_t, active)) <= 1:
+            if len(_surviving_candidates(candidates, zones_t, active)) <= 1:
                 break
 
     votes = Counter()
     for peer in active:
-        c = candidates[zone_of(alloc_t, peer)]
+        c = candidates[zones_t[peer]]
         if c is not None:
             votes[c] += 1
     if not votes:

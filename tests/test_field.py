@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoned_ledger.errors import ConfigurationError
 from zoned_ledger.field import Field, is_prime, next_prime
@@ -77,3 +79,37 @@ def test_interpolation_recovers_polynomial_everywhere(q, k):
         pts = [(x, f.eval_poly(coeffs, x)) for x in xs]
         for x0 in range(q):
             assert f.lagrange_interpolate(pts, x0) == f.eval_poly(coeffs, x0)
+
+
+_MODULI = [2, 3, 13, 65537, 2**61 - 1, next_prime(2**64), next_prime(2**130)]
+
+
+def _abscissas(data, q, k):
+    """k abscissas distinct mod q, some unreduced or negative."""
+    residues = data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k, unique=True))
+    return [r + q * data.draw(st.integers(-2, 2)) for r in residues]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interpolation_matches_eval_poly(data):
+    q = data.draw(st.sampled_from(_MODULI))
+    f = Field(q)
+    k = data.draw(st.integers(1, min(q, 16)))
+    coeffs = data.draw(st.lists(st.integers(-2**140, 2**140), min_size=k, max_size=k))
+    xs = _abscissas(data, q, k)
+    points = [(x, f.eval_poly(coeffs, x)) for x in xs]
+    x0 = data.draw(st.one_of(st.just(0), st.sampled_from(xs), st.integers(-2**140, 2**140)))
+    assert f.lagrange_interpolate(points, x0) == f.eval_poly(coeffs, x0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_interpolation_rejects_abscissas_equal_mod_p(data):
+    q = data.draw(st.sampled_from(_MODULI))
+    f = Field(q)
+    xs = _abscissas(data, q, data.draw(st.integers(1, min(q, 8))))
+    twin = data.draw(st.sampled_from(xs)) + q * data.draw(st.integers(-2, 2))
+    xs.insert(data.draw(st.integers(0, len(xs))), twin)
+    with pytest.raises(ValueError, match="duplicate abscissa"):
+        f.lagrange_interpolate([(x, 1) for x in xs], 0)

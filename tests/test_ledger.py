@@ -1,16 +1,18 @@
 import hashlib
+import json
 import math
 import random
 
 import pytest
 
 from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
-                                 UnrepairableError)
+                                 SnapshotError, UnrepairableError)
 from zoned_ledger.field import Field
 from zoned_ledger.ledger import (GENESIS_HASH, ChainConfig, ChainState,
                                  hash_field, hash_step, snapshot_load,
                                  snapshot_save, storage_cost_formula)
 from zoned_ledger.shamir import reconstruct
+from zoned_ledger.zones import allocation_at, layout, zone_of
 
 
 def make_chain(n=8, m=4, block_bytes=16, blocks=4, seed=0, hash_width=64):
@@ -179,6 +181,60 @@ def test_snapshot_round_trip(tmp_path):
     path2 = tmp_path / "chain2.jsonl"
     snapshot_save(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.pop("key_share"),
+    lambda rec: rec.pop("peer"),
+    lambda rec: rec.update(t=3),
+    lambda rec: rec.update(t=-1),
+    lambda rec: rec.update(peer=8),
+    lambda rec: rec.update(peer=-1),
+    lambda rec: rec.update(key_share=[1, 2, 3]),
+    lambda rec: rec.update(hash_share=5),
+    lambda rec: rec.update(hash_share=["1", 2]),
+    lambda rec: rec.update(type="peer"),
+    lambda rec: rec.update(fragment="zz"),
+    lambda rec: rec.update(fragment=5),
+], ids=["missing_field", "missing_peer", "undeclared_slot", "negative_slot",
+        "peer_past_n", "negative_peer", "share_triple", "share_scalar",
+        "share_not_int", "unknown_type", "fragment_not_hex", "fragment_not_str"])
+def test_snapshot_load_rejects_malformed_record(tmp_path, edit):
+    state, _ = make_chain(n=8, m=4, blocks=3, seed=12)
+    path = tmp_path / "chain.jsonl"
+    snapshot_save(state, path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == "record")
+    rec = json.loads(lines[i])
+    edit(rec)
+    lines[i] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SnapshotError):
+        snapshot_load(path)
+
+
+@pytest.mark.parametrize("line", ['{"type": "slot"', '[1, 2]', '{"type": "slot", "t": 0}'],
+                         ids=["not_json", "not_an_object", "slot_missing_field"])
+def test_snapshot_load_rejects_malformed_line(tmp_path, line):
+    state, _ = make_chain(n=8, m=4, blocks=1, seed=12)
+    path = tmp_path / "chain.jsonl"
+    snapshot_save(state, path)
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\n" + line + "\n")
+    with pytest.raises(SnapshotError):
+        snapshot_load(path)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (6, 6), (8, 4), (24, 4), (24, 6), (48, 8)])
+def test_cached_schedule_matches_allocation_at(n, m):
+    state = ChainState(ChainConfig(n=n, m=m, block_bytes=m))
+    lay = layout(n, m)
+    for t in range(2 * lay.period):
+        zones = allocation_at(lay, t)
+        assert list(state.allocation(t)) == zones
+        peer_zones = state.peer_zones(t)
+        assert len(peer_zones) == n
+        assert all(peer_zones[p] == zone_of(zones, p) for p in range(n))
 
 
 def test_hash_field_is_injective_for_width():

@@ -101,7 +101,9 @@ def test_elimination_requires_a_failed_comparison():
                          ids=["planted_then_rewritten", "rewritten_then_planted"])
 def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
     # zone 0 of slot 0 is rewritten, and its previous-hash shares are set to
-    # 2^width + 1: an element of the sharing field that is no width-bit hash
+    # 2^width + 1: an element of the sharing field that is no width-bit hash.
+    # Either way round, the rewritten zone's peers are eliminated at slot 0:
+    # by the hash comparison, or for decoding a block with no valid H_{-1}.
     state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=17)
     cfg = state.config
     forged = bytes(b ^ 0xFF for b in state.payloads[0])
@@ -120,7 +122,10 @@ def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
         plant()
         assert state.zone_prev_hash(0, 0) is None
     assert state.zone_candidate(0, 0) == forged
-    assert recover_block(state, 0).recovered == state.payloads[0]
+    report = recover_block(state, 0)
+    assert report.recovered == state.payloads[0]
+    assert report.eliminated_peers == set(state.allocation(0)[0])
+    assert report.slots_scanned == 1
 
 
 def test_recover_block_decodes_each_zone_once(monkeypatch):
