@@ -10,15 +10,20 @@ recovery against it.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import shamir, tree_cipher, zones
 from .errors import ConfigurationError, SnapshotError, UnrepairableError
-from .field import prime_field
+from .field import Field, prime_field
 
 GENESIS_HASH = 0
 
 hash_field = prime_field  # the sharing field of width-bit hash values
+
+
+def key_field(m: int) -> Field:
+    """The sharing field of a zone's serialized cipher key."""
+    return prime_field(8 * tree_cipher.key_nbytes(m))
 
 
 def hash_step(prev: int, payload: bytes, width: int = 64) -> int:
@@ -182,7 +187,7 @@ class ChainState:
         rec = self.records[slot].get(peer)
         if rec is None:
             raise LookupError(f"no record for peer {peer} at slot {slot}")
-        key_bits = prime_field(8 * tree_cipher.key_nbytes(self.config.m)).modulus.bit_length()
+        key_bits = key_field(self.config.m).modulus.bit_length()
         hash_bits = hash_field(self.config.hash_width).modulus.bit_length()
         bits = 8 * len(rec.fragment)
         bits += 2 * key_bits  # (x, y) of the key share
@@ -247,12 +252,15 @@ def _required(line: dict, name: str):
         raise SnapshotError(f"snapshot {line.get('type')!r} line lacks {name!r}") from None
 
 
-def _share(line: dict, name: str) -> shamir.Share:
+def _share(line: dict, name: str, gf: Field) -> shamir.Share:
     value = _required(line, name)
     if not (isinstance(value, list) and len(value) == 2
             and all(type(v) is int for v in value)):
         raise SnapshotError(f"{name} must be an [x, y] pair of ints, got {value!r}")
-    return shamir.Share(*value)
+    x, y = value
+    if not (0 < x < gf.modulus and 0 <= y < gf.modulus):
+        raise SnapshotError(f"{name} {value!r} is no share in {gf!r}")
+    return shamir.Share(x, y)
 
 
 def _hex(line: dict, name: str) -> bytes:
@@ -272,6 +280,9 @@ def snapshot_load(path) -> ChainState:
         state = ChainState(ChainConfig(**{
             name: _required(header, name)
             for name in ("n", "m", "block_bytes", "hash_width", "seed")}))
+        cfg = state.config
+        fragment_bytes = cfg.block_bytes // cfg.m
+        key_gf, hash_gf = key_field(cfg.m), hash_field(cfg.hash_width)
         for line in fh:
             rec = _parse(line)
             kind = rec.get("type")
@@ -279,7 +290,7 @@ def snapshot_load(path) -> ChainState:
                 payload = _hex(rec, "payload")
                 prev = state.hashes[-1]
                 state.payloads.append(payload)
-                state.hashes.append(hash_step(prev, payload, state.config.hash_width))
+                state.hashes.append(hash_step(prev, payload, cfg.hash_width))
                 if state.hashes[-1] != _required(rec, "hash"):
                     raise SnapshotError(f"hash mismatch at slot {rec.get('t')!r}")
                 state.records.append({})
@@ -287,12 +298,16 @@ def snapshot_load(path) -> ChainState:
                 t, peer = _required(rec, "t"), _required(rec, "peer")
                 if type(t) is not int or not 0 <= t < len(state.records):
                     raise SnapshotError(f"record for undeclared slot {t!r}")
-                if type(peer) is not int or not 0 <= peer < state.config.n:
+                if type(peer) is not int or not 0 <= peer < cfg.n:
                     raise SnapshotError(f"record for peer {peer!r} outside range(n)")
+                fragment = _hex(rec, "fragment")
+                if len(fragment) != fragment_bytes:
+                    raise SnapshotError(f"fragment of {len(fragment)} bytes, expected "
+                                        f"block_bytes / m = {fragment_bytes}")
                 state.records[t][peer] = PeerSlotRecord(
-                    fragment=_hex(rec, "fragment"),
-                    key_share=_share(rec, "key_share"),
-                    hash_share=_share(rec, "hash_share"),
+                    fragment=fragment,
+                    key_share=_share(rec, "key_share", key_gf),
+                    hash_share=_share(rec, "hash_share", hash_gf),
                 )
             else:
                 raise SnapshotError(f"unknown snapshot record type {kind!r}")

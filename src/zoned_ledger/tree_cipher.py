@@ -5,13 +5,15 @@ positional fragments, one per tree node. Each non-root node stores its
 fragment XOR its parent's fragment; the root stores the XOR of every
 other codeword with its own fragment. A node's codeword is bit-flipped
 when its flip bit is set, and peer i holds the codeword of the node it
-is assigned to.
+is assigned to. A key serializes to its index among the key_space(m)
+keys, in the fewest bytes that hold every index.
 """
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
-from .errors import KeyDecodeError
+from .errors import ConfigurationError, KeyDecodeError
 
 
 @dataclass(frozen=True)
@@ -86,69 +88,68 @@ class CipherKey:
             raise ValueError("assignment must be a permutation of [m]")
 
 
+def _reroot(parents: list[int], node: int) -> None:
+    """Make node the root in place by reversing its path to the old root."""
+    prev = node
+    while parents[node] != node:
+        parents[node], prev, node = prev, node, parents[node]
+    parents[node] = prev
+
+
 def tree_from_prufer(seq, m: int, root: int) -> RootedTree:
-    """Build the labeled tree of a Prufer sequence and orient it at root."""
-    if m == 1:
-        return RootedTree((0,), 0)
+    """Build the labeled tree of a Prufer sequence and orient it at root.
+
+    Linear time: the smallest leaf is tracked with a forward pointer, and
+    a node that becomes a leaf below the pointer is removed at once.
+    The tree comes out rooted at m-1, the node never removed.
+    """
     seq = list(seq)
+    if len(seq) != max(0, m - 2) or any(not 0 <= v < m for v in seq + [root]):
+        raise ValueError(f"no tree on {m} nodes has Prufer sequence {seq} and root {root}")
     degree = [1] * m
     for v in seq:
         degree[v] += 1
-    adj: list[list[int]] = [[] for _ in range(m)]
-
-    def add_edge(a, b):
-        adj[a].append(b)
-        adj[b].append(a)
-
-    import heapq
-
-    leaves = [i for i in range(m) if degree[i] == 1]
-    heapq.heapify(leaves)
+    ptr = degree.index(1)
+    leaf = ptr
+    parents = [m - 1] * m
     for v in seq:
-        leaf = heapq.heappop(leaves)
-        add_edge(leaf, v)
+        parents[leaf] = v
         degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    add_edge(u, w)
-
-    parents = [0] * m
-    parents[root] = root
-    stack, seen = [root], {root}
-    while stack:
-        v = stack.pop()
-        for nb in adj[v]:
-            if nb not in seen:
-                seen.add(nb)
-                parents[nb] = v
-                stack.append(nb)
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    _reroot(parents, root)
     return RootedTree(tuple(parents), root)
 
 
 def prufer_sequence(tree: RootedTree) -> list[int]:
-    """Canonical Prufer sequence of the underlying unrooted tree."""
+    """Canonical Prufer sequence of the underlying unrooted tree.
+
+    The same linear pointer walk as tree_from_prufer, over the tree
+    re-rooted at m-1, where each removed leaf's neighbour is its parent.
+    """
     m = tree.m
     if m <= 2:
         return []
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i, p in enumerate(tree.parents):
-        if i != tree.root:
-            adj[i].add(p)
-            adj[p].add(i)
-    import heapq
-
-    leaves = [i for i in range(m) if len(adj[i]) == 1]
-    heapq.heapify(leaves)
+    parents = list(tree.parents)
+    _reroot(parents, m - 1)
+    degree = [1] * (m - 1) + [0]
+    for i in range(m - 1):
+        degree[parents[i]] += 1
     seq = []
+    ptr = degree.index(1)
+    leaf = ptr
     for _ in range(m - 2):
-        leaf = heapq.heappop(leaves)
-        nb = adj[leaf].pop()
-        adj[nb].discard(leaf)
-        seq.append(nb)
-        if len(adj[nb]) == 1:
-            heapq.heappush(leaves, nb)
+        v = parents[leaf]
+        seq.append(v)
+        degree[v] -= 1
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
     return seq
 
 
@@ -253,43 +254,65 @@ def corruption_oracle(key: CipherKey, corrupted_peers, target_change) -> bool:
                if node in required_nodes)
 
 
+@cache
+def key_space(m: int) -> int:
+    """Number of keys for zone size m: m^(m-1) rooted trees, 2^m flips, m! assignments."""
+    if m < 1:
+        raise ConfigurationError(f"zone size must be >= 1, got m={m}")
+    return m ** (m - 1) * 2 ** m * math.factorial(m)
+
+
+@cache
 def key_nbytes(m: int) -> int:
-    """Serialized key size: prufer + root + flip bitmap + assignment."""
-    return max(0, m - 2) + 1 + (m + 7) // 8 + m
+    """Serialized key size: the bytes of the largest key index, key_space(m) - 1."""
+    return ((key_space(m) - 1).bit_length() + 7) // 8
 
 
 def serialize_key(key: CipherKey) -> bytes:
-    """Canonical byte layout: prufer sequence, root, flips, assignment."""
+    """The key's index below key_space(m), as key_nbytes(m) big-endian bytes.
+
+    The index is one mixed-radix integer, most significant first: the
+    m-2 Prufer digits and the root in base m, the m flip bits (flip i is
+    bit i), then the Lehmer code of the assignment (digit i, in base
+    m - i, is the rank of assignment[i] among assignment[i:]). Every
+    index below key_space(m) is a key, so the bytes carry no redundancy.
+    """
     m = key.m
-    if m > 255:
-        raise ValueError("serialization supports m <= 255")
-    out = bytearray(prufer_sequence(key.tree))
-    out.append(key.tree.root)
-    bitmap = 0
-    for i, b in enumerate(key.flips):
-        bitmap |= b << i
-    out += bitmap.to_bytes((m + 7) // 8, "little")
-    out += bytes(key.assignment)
-    return bytes(out)
+    index = 0
+    for v in prufer_sequence(key.tree):
+        index = index * m + v
+    index = index * m + key.tree.root
+    for bit in reversed(key.flips):
+        index = index << 1 | bit
+    unplaced = list(range(m))
+    for node in key.assignment:
+        rank = unplaced.index(node)
+        index = index * len(unplaced) + rank
+        del unplaced[rank]
+    return index.to_bytes(key_nbytes(m), "big")
 
 
 def deserialize_key(data: bytes, m: int) -> CipherKey:
+    """Invert serialize_key.
+
+    Raises KeyDecodeError unless data is key_nbytes(m) bytes holding an
+    index below key_space(m); every such index decodes to a key.
+    """
     if len(data) != key_nbytes(m):
         raise KeyDecodeError(f"expected {key_nbytes(m)} bytes for m={m}, got {len(data)}")
-    plen = max(0, m - 2)
-    seq = list(data[:plen])
-    root = data[plen]
-    if any(v >= m for v in seq) or root >= m:
-        raise KeyDecodeError("node index out of range")
-    fbytes = (m + 7) // 8
-    bitmap = int.from_bytes(data[plen + 1:plen + 1 + fbytes], "little")
-    if bitmap >> m:
-        raise KeyDecodeError("stray bits in flip bitmap")
-    flips = tuple((bitmap >> i) & 1 for i in range(m))
-    assignment = tuple(data[plen + 1 + fbytes:])
-    if sorted(assignment) != list(range(m)):
-        raise KeyDecodeError("assignment is not a permutation")
-    try:
-        return CipherKey(tree_from_prufer(seq, m, root), flips, assignment)
-    except (ValueError, IndexError) as exc:
-        raise KeyDecodeError(str(exc)) from exc
+    index = int.from_bytes(data, "big")
+    if index >= key_space(m):
+        raise KeyDecodeError(f"key index {index} is not below key_space({m})")
+    ranks = []
+    for base in range(1, m + 1):
+        index, rank = divmod(index, base)
+        ranks.append(rank)
+    unplaced = list(range(m))
+    assignment = tuple(unplaced.pop(rank) for rank in reversed(ranks))
+    flips = tuple((index >> i) & 1 for i in range(m))
+    index >>= m
+    index, root = divmod(index, m)
+    seq = [0] * max(0, m - 2)
+    for i in range(len(seq) - 1, -1, -1):
+        index, seq[i] = divmod(index, m)
+    return CipherKey(tree_from_prufer(seq, m, root), flips, assignment)

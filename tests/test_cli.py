@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -112,3 +113,29 @@ def test_invalid_config_exits_2(capsys):
                               "--seed", "0")
     assert code == 2
     assert "error:" in stderr
+
+
+PINNED_STDOUT = {
+    ("attack", "--m", "4", "--trials", "500", "--seed", "1"):
+        "6859d57b6313017871c3329934676000b57a697ed049f27c67ddea1444dfaabb",
+    ("mining", "--trials", "20", "--seed", "3"):
+        "f53e403fb2b397f61456c68e3c8aa79fa58fbe4e7bdf5d7a06dc121c326907f7",
+    ("availability", "--trials", "2000", "--seed", "2"):
+        "dd643047e666e6563ec18be5da8530772695b6341183c7db399f1844f7945dab",
+    ("storage-cost", "--m", "16", "--seed", "0"):
+        "8c297b7a9be13a27479ba611560a34adb4ad161d8fa1603271d79453f9c67f0a",
+    ("coverage", "--n", "24", "--m", "4", "--seed", "0"):
+        "01ecea9018af1c52ea7f1254c7399fe586fa20dc76ce5d160d618708824bc9d9",
+    ("simulate", "--n", "8", "--m", "4", "--blocks", "5", "--seed", "3"):
+        "18301d9acb37877cac3b7faea029a63ce11764a9a49bd14195a58c22358e537f",
+}
+
+
+@pytest.mark.parametrize("argv,digest", [pytest.param(argv, digest, id=argv[0])
+                                         for argv, digest in PINNED_STDOUT.items()])
+def test_output_bytes_pinned(capsys, argv, digest):
+    # sha256 of stdout; a change here is a change to the reproducibility
+    # contract (same flags and seed, same bytes) and must be deliberate
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest

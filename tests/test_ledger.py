@@ -9,8 +9,9 @@ from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
                                  SnapshotError, UnrepairableError)
 from zoned_ledger.field import Field
 from zoned_ledger.ledger import (GENESIS_HASH, ChainConfig, ChainState,
-                                 hash_field, hash_step, snapshot_load,
-                                 snapshot_save, storage_cost_formula)
+                                 hash_field, hash_step, key_field,
+                                 snapshot_load, snapshot_save,
+                                 storage_cost_formula)
 from zoned_ledger.shamir import reconstruct
 from zoned_ledger.zones import allocation_at, layout, zone_of
 
@@ -158,6 +159,17 @@ def test_storage_cost_measured_fragment_portion():
     assert 8 * len(rec.fragment) == 8 * 32 / 4
 
 
+@pytest.mark.parametrize("m,key_bits", [(4, 17), (6, 33), (8, 49), (16, 129)])
+def test_storage_cost_measured_key_share_bits(m, key_bits):
+    # each key share is an (x, y) pair in the prime field just above
+    # 2^(8 * key_nbytes(m)); 2m log2 m bits is 16 / 31 / 48 / 128
+    state, _ = make_chain(n=2 * m, m=m, block_bytes=m, blocks=1)
+    assert key_field(m).modulus.bit_length() == key_bits
+    hash_bits = hash_field(64).modulus.bit_length()
+    other = 8 + 2 * hash_bits + math.ceil(math.log2(m))
+    assert state.storage_cost_measured(0, 0) == 2 * key_bits + other
+
+
 def test_storage_cost_measured_linear_in_block_size():
     deltas = set()
     for block_bytes in (16, 32, 64, 128):
@@ -196,10 +208,16 @@ def test_snapshot_round_trip(tmp_path):
     lambda rec: rec.update(type="peer"),
     lambda rec: rec.update(fragment="zz"),
     lambda rec: rec.update(fragment=5),
+    lambda rec: rec.update(fragment="00"),
 ], ids=["missing_field", "missing_peer", "undeclared_slot", "negative_slot",
         "peer_past_n", "negative_peer", "share_triple", "share_scalar",
-        "share_not_int", "unknown_type", "fragment_not_hex", "fragment_not_str"])
+        "share_not_int", "unknown_type", "fragment_not_hex", "fragment_not_str",
+        "fragment_wrong_length"])
 def test_snapshot_load_rejects_malformed_record(tmp_path, edit):
+    _load_with_edited_record(tmp_path, edit)
+
+
+def _load_with_edited_record(tmp_path, edit):
     state, _ = make_chain(n=8, m=4, blocks=3, seed=12)
     path = tmp_path / "chain.jsonl"
     snapshot_save(state, path)
@@ -211,6 +229,27 @@ def test_snapshot_load_rejects_malformed_record(tmp_path, edit):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SnapshotError):
         snapshot_load(path)
+
+
+@pytest.mark.parametrize("name,gf", [("key_share", key_field(4)),
+                                     ("hash_share", hash_field(64))],
+                         ids=["key_share", "hash_share"])
+@pytest.mark.parametrize("point", [
+    lambda p, y: [0, y],
+    lambda p, y: [-1, y],
+    lambda p, y: [p, y],
+    lambda p, y: [1, -1],
+    lambda p, y: [1, p],
+], ids=["x_zero", "x_negative", "x_modulus", "y_negative", "y_modulus"])
+def test_snapshot_load_rejects_share_outside_field(tmp_path, name, gf, point):
+    _load_with_edited_record(
+        tmp_path, lambda rec: rec.update({name: point(gf.modulus, rec[name][1])}))
+
+
+def test_snapshot_load_rejects_key_share_of_the_byte_per_digit_encoding(tmp_path):
+    # at m = 4 the key was once 8 bytes, shared in a 65-bit field; such a
+    # share has a y far past the 17-bit field and would mis-decode
+    _load_with_edited_record(tmp_path, lambda rec: rec.update(key_share=[3, 2**64 + 5]))
 
 
 @pytest.mark.parametrize("line", ['{"type": "slot"', '[1, 2]', '{"type": "slot", "t": 0}'],

@@ -5,10 +5,10 @@ import pytest
 
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
 from zoned_ledger.errors import AmbiguousRecoveryError, UnrecoverableError
-from zoned_ledger.ledger import ChainConfig, ChainState, hash_field
+from zoned_ledger.ledger import ChainConfig, ChainState, hash_field, key_field
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
-from zoned_ledger.shamir import split
+from zoned_ledger.shamir import Share, split
 
 
 def make_chain(n=24, m=4, block_bytes=32, blocks=8, seed=0):
@@ -126,6 +126,23 @@ def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
     assert report.recovered == state.payloads[0]
     assert report.eliminated_peers == set(state.allocation(0)[0])
     assert report.slots_scanned == 1
+
+
+def test_tampered_key_share_that_decodes_to_a_wrong_key_is_eliminated():
+    # every index below key_space(m) is a key, so at m = 4 a random key
+    # share decodes to some valid key about 3 times in 8; this seeded
+    # tampering is one such case, and the zone yields a wrong block
+    state, _ = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=0)
+    t, z = 2, 0
+    zone = set(state.allocation(t)[z])
+    rng = random.Random(0)
+    rec = state.records[t][rng.choice(sorted(zone))]
+    rec.key_share = Share(rec.key_share.x, key_field(state.config.m).rand(rng))
+    candidate = state.zone_candidate(t, z)
+    assert candidate is not None and candidate != state.payloads[t]
+    report = recover_block(state, t)
+    assert report.recovered == state.payloads[t]
+    assert report.eliminated_peers and report.eliminated_peers <= zone
 
 
 def test_recover_block_decodes_each_zone_once(monkeypatch):

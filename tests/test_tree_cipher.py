@@ -4,13 +4,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zoned_ledger.errors import KeyDecodeError
+from zoned_ledger.errors import ConfigurationError, KeyDecodeError
 from zoned_ledger.tree_cipher import (CipherKey, RootedTree, corruption_oracle,
                                       decrypt, deserialize_key, encode_values,
-                                      encrypt, key_nbytes, prufer_sequence,
-                                      sample_key, sample_tree, serialize_key,
-                                      tree_from_prufer)
+                                      encrypt, key_nbytes, key_space,
+                                      prufer_sequence, sample_key, sample_tree,
+                                      serialize_key, tree_from_prufer)
 
 
 def all_rooted_trees(m):
@@ -184,8 +186,74 @@ def test_serialize_truncated_rejected():
         deserialize_key(data + b"\x00", 4)
 
 
+def _edges(tree):
+    return frozenset(frozenset((c, p)) for c, p in enumerate(tree.parents) if c != tree.root)
+
+
 def test_prufer_round_trip():
-    for m in (3, 4, 5):
-        for tree in all_rooted_trees(m):
-            seq = prufer_sequence(tree)
-            assert tree_from_prufer(seq, m, tree.root) == tree
+    # every sequence, with every root up to m = 6 (at m = 7, 823,543 rooted
+    # trees are too many, so each sequence gets one root, cycling); the
+    # trees are m^(m-2) distinct unrooted trees, which by Cayley's formula
+    # is all of them, so tree -> sequence -> tree holds for every tree too
+    for m in range(1, 8):
+        edge_sets = set()
+        for i, seq in enumerate(itertools.product(range(m), repeat=max(0, m - 2))):
+            unrooted = _edges(tree_from_prufer(seq, m, m - 1))
+            for root in range(m) if m < 7 else [i % m]:
+                tree = tree_from_prufer(seq, m, root)
+                assert tree.root == root and _edges(tree) == unrooted
+                assert prufer_sequence(tree) == list(seq)
+                assert tree_from_prufer(prufer_sequence(tree), m, root) == tree
+            edge_sets.add(unrooted)
+        assert len(edge_sets) == m ** max(0, m - 2)
+
+
+@pytest.mark.parametrize("seq,m,root", [([3], 3, 0), ([0, 0], 3, 0), ([], 3, 0),
+                                        ([-1], 3, 0), ([0], 3, 3), ([0], 3, -1)])
+def test_tree_from_prufer_rejects_bad_input(seq, m, root):
+    with pytest.raises(ValueError):
+        tree_from_prufer(seq, m, root)
+
+
+@pytest.mark.parametrize("m,nbytes", [(1, 1), (2, 1), (4, 2), (6, 4), (8, 6), (16, 16)])
+def test_key_size_is_the_key_entropy_rounded_up(m, nbytes):
+    assert key_space(m) == m ** (m - 1) * 2**m * math.factorial(m)
+    assert key_nbytes(m) == nbytes
+    assert 256 ** (nbytes - 1) < key_space(m) <= 256**nbytes
+
+
+def test_key_space_rejects_empty_zone():
+    with pytest.raises(ConfigurationError):
+        key_space(0)
+
+
+def _index_bytes(index, m):
+    return index.to_bytes(key_nbytes(m), "big")
+
+
+@given(st.integers(1, 16).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, key_space(m) - 1))))
+def test_every_index_below_key_space_is_a_key(m_index):
+    m, index = m_index
+    key = deserialize_key(_index_bytes(index, m), m)
+    assert key.m == m
+    assert int.from_bytes(serialize_key(key), "big") == index
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("past", [0, 1])
+def test_index_at_or_past_key_space_rejected(m, past):
+    with pytest.raises(KeyDecodeError):
+        deserialize_key(_index_bytes(key_space(m) + past, m), m)
+
+
+@given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.one_of(
+    st.binary(max_size=20), st.binary(min_size=key_nbytes(m), max_size=key_nbytes(m))))))
+def test_arbitrary_bytes_give_a_key_or_key_decode_error(m_data):
+    m, data = m_data
+    try:
+        key = deserialize_key(data, m)
+    except KeyDecodeError:
+        return
+    assert isinstance(key, CipherKey) and key.m == m
+    assert serialize_key(key) == data
