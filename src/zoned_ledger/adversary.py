@@ -17,7 +17,7 @@ import numpy as np
 from . import tree_cipher
 from .errors import ConfigurationError
 from .field import prime_field
-from .ledger import ChainState, hash_step, hash_field
+from .ledger import ChainState, hash_step
 from .shamir import Share, split
 from .tree_cipher import CipherKey, RootedTree, corruption_oracle, sample_key
 from .zones import allocation_at, layout
@@ -36,9 +36,6 @@ class TrialSummary:
         """One-sigma binomial radius of the estimate."""
         p = self.estimate
         return math.sqrt(max(p * (1 - p), 1e-12) / self.trials)
-
-    def within_bound(self, k: float = 3.0) -> bool:
-        return self.estimate - k * self.sigma <= self.bound
 
 
 def _summary(trials, successes, bound, seed) -> TrialSummary:
@@ -291,31 +288,33 @@ def confidentiality_probe(m: int, leaked_peers: int, fragment_bits: int = 1,
 def rewrite_zone_block(state: ChainState, t: int, z: int, payload: bytes, rng) -> None:
     """Adversary with all m peers of a zone re-encodes block t as payload.
 
-    The zone's stored previous-hash shares are left untouched; downstream
-    slots become inconsistent with the rewritten block.
+    The zone keeps sharing the previous hash it shared before (the true
+    H_{t-1} if it shared none), so downstream slots become inconsistent
+    with the rewritten block.
     """
-    members = state.allocation(t)[z]
     prev = state.zone_prev_hash(t, z)
     if prev is None:
         prev = state.hashes[t]
-    state._encode_zone(members, payload, prev, rng, state.records[t])
+    state._encode_zone(state.allocation(t)[z], payload, prev, rng, state.records[t])
 
 
 def rewrite_chain_suffix(state: ChainState, t: int, payload: bytes, rng) -> None:
     """Full-network consistent rewrite: block t becomes payload everywhere,
-    and every later slot's shared hash values are recomputed to match."""
+    and every later zone that can be read re-shares its own key with the
+    matching forged hash."""
     cfg = state.config
-    f = hash_field(cfg.hash_width)
     for z in range(len(state.allocation(t))):
         rewrite_zone_block(state, t, z, payload, rng)
-    prev = state.hashes[t]
-    forged = hash_step(prev, payload, cfg.hash_width)
+    forged = hash_step(state.hashes[t], payload, cfg.hash_width)
     for tau in range(t + 1, state.num_blocks):
-        alloc = state.allocation(tau)
-        for z, members in enumerate(alloc):
-            shares = split(f, forged, cfg.m, cfg.m, rng)
-            for j, peer in enumerate(members):
-                rec = state.records[tau].get(peer)
-                if rec is not None:
-                    rec.hash_share = shares[j]
+        for z in range(len(state.allocation(tau))):
+            recs = state.zone_records(tau, z)
+            if recs is None:
+                continue
+            try:
+                key_bytes, _ = state._zone_secret(recs)
+            except ValueError:
+                continue
+            for rec, share in zip(recs, state._share_secret(key_bytes, forged, rng)):
+                rec.share = share
         forged = hash_step(forged, state.payloads[tau], cfg.hash_width)

@@ -17,6 +17,7 @@ from .ledger import ChainConfig, ChainState, storage_cost_formula
 from .recovery import recover_block
 
 DEFAULT_FRACTIONS = [2**-4, 2**-6, 2**-8, 2**-10, 2**-12]
+JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _emit(records, summary_rows, out_path):
@@ -159,12 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file of defaults; explicit flags override")
         p.add_argument("--seed", type=int, default=None, required=False)
         p.add_argument("--out", type=str, default=None)
-        defaults = {}
+        defaults, types = {}, {"seed": int, "out": str}
         for flag, (ftype, default) in flags.items():
             attr = flag.replace("-", "_")
             p.add_argument(f"--{flag}", type=ftype, default=None, dest=attr)
-            defaults[attr] = default
-        p.set_defaults(fn=fn, _defaults=defaults)
+            defaults[attr], types[attr] = default, ftype
+        p.set_defaults(fn=fn, _defaults=defaults, _types=types)
         return p
 
     add("simulate", cmd_simulate, n=(int, 24), m=(int, 4),
@@ -189,6 +190,12 @@ def _apply_config_file(args) -> None:
         defaults = json.load(fh)
     for key, value in defaults.items():
         attr = key.replace("-", "_")
+        ftype = args._types.get(attr)
+        if ftype and value is not None:
+            if type(value) not in JSON_TYPES[ftype]:  # no bool for an int flag
+                raise ConfigurationError(
+                    f"config key {key!r} must be a JSON {ftype.__name__}, got {value!r}")
+            value = ftype(value)
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
 

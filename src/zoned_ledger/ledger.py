@@ -1,10 +1,11 @@
 """Ground-truth hash chain plus simulated per-peer zone storage.
 
 Each committed block is, per zone, encrypted under a fresh tree-cipher
-key; the fragments go one per peer, and the serialized key and the
-previous hash value are (m, m) secret shared across the zone. The
-simulator also keeps the plain ground truth so experiments can check
-recovery against it.
+key; the fragments go one per peer, and one byte string, the serialized
+key followed by the previous hash value, is (m, m) secret shared across
+the zone, so a zone decode is one interpolation. The simulator also
+keeps the plain ground truth so experiments can check recovery against
+it.
 """
 
 import hashlib
@@ -18,17 +19,22 @@ from .field import Field, prime_field
 
 GENESIS_HASH = 0
 
-hash_field = prime_field  # the sharing field of width-bit hash values
+hash_field = prime_field  # the prime field just above 2^width holds every width-bit hash
 
 
-def key_field(m: int) -> Field:
-    """The sharing field of a zone's serialized cipher key."""
-    return prime_field(8 * tree_cipher.key_nbytes(m))
+def hash_nbytes(width: int) -> int:
+    """Bytes of a width-bit hash value, as hashed and as shared."""
+    return (width + 7) // 8
+
+
+def share_field(m: int, width: int) -> Field:
+    """The sharing field of a zone's secret: its serialized key, then H_{t-1}."""
+    return prime_field(8 * (tree_cipher.key_nbytes(m) + hash_nbytes(width)))
 
 
 def hash_step(prev: int, payload: bytes, width: int = 64) -> int:
     """SHA-256 of (prev hash bits || payload), truncated to width bits."""
-    prev_bytes = prev.to_bytes((width + 7) // 8, "big")
+    prev_bytes = prev.to_bytes(hash_nbytes(width), "big")
     digest = hashlib.sha256(prev_bytes + payload).digest()
     return int.from_bytes(digest, "big") >> (256 - width)
 
@@ -53,8 +59,7 @@ class ChainConfig:
 @dataclass
 class PeerSlotRecord:
     fragment: bytes
-    key_share: shamir.Share
-    hash_share: shamir.Share
+    share: shamir.Share
 
 
 class ChainState:
@@ -69,12 +74,12 @@ class ChainState:
         self.config = config
         self.layout = zones.layout(config.n, config.m)
         self.payloads: list[bytes] = []
-        self.hashes: list[int] = [GENESIS_HASH]  # hashes[t] == H_{t-1} context; see below
+        # hashes[0] is the genesis hash; hashes[t + 1] = h(hashes[t], payloads[t]),
+        # so block t is chained to hashes[t], the value its zones share
+        self.hashes: list[int] = [GENESIS_HASH]
         self.records: list[dict[int, PeerSlotRecord]] = []
         # residue t % period -> (zones of slot t, zone index of each peer)
         self._schedule: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
-
-    # hashes[0] is the genesis H_0; hashes[t] is H_t = h(H_{t-1}, B_t).
 
     @property
     def num_blocks(self) -> int:
@@ -105,11 +110,22 @@ class ChainState:
         cfg = self.config
         key = tree_cipher.sample_key(cfg.m, rng)
         fragments = tree_cipher.encrypt(payload, key)
-        key_shares = shamir.split_bytes(tree_cipher.serialize_key(key), cfg.m, cfg.m, rng)
-        hash_shares = shamir.split(hash_field(cfg.hash_width), prev_hash,
-                                   cfg.m, cfg.m, rng)
+        shares = self._share_secret(tree_cipher.serialize_key(key), prev_hash, rng)
         for j, peer in enumerate(members):
-            slot_records[peer] = PeerSlotRecord(fragments[j], key_shares[j], hash_shares[j])
+            slot_records[peer] = PeerSlotRecord(fragments[j], shares[j])
+
+    def _share_secret(self, key_bytes: bytes, prev_hash: int, rng) -> list[shamir.Share]:
+        """Shares of a zone's one secret: the key bytes, then prev_hash's bytes."""
+        cfg = self.config
+        secret = key_bytes + prev_hash.to_bytes(hash_nbytes(cfg.hash_width), "big")
+        return shamir.split_bytes(secret, cfg.m, cfg.m, rng)
+
+    def _zone_secret(self, recs) -> tuple[bytes, int]:
+        """(key bytes, previous hash) that a zone's records share; ValueError if unreadable."""
+        m, key_nbytes = self.config.m, tree_cipher.key_nbytes(self.config.m)
+        secret = shamir.reconstruct_bytes([r.share for r in recs], m,
+                                          key_nbytes + hash_nbytes(self.config.hash_width))
+        return secret[:key_nbytes], int.from_bytes(secret[key_nbytes:], "big")
 
     def commit_block(self, payload: bytes, rng) -> None:
         if len(payload) != self.config.block_bytes:
@@ -129,71 +145,57 @@ class ChainState:
 
     def zone_records(self, t: int, z: int) -> list[PeerSlotRecord] | None:
         """Records of zone z at slot t in peer order, or None if any is missing."""
-        members = self.allocation(t)[z]
-        recs = [self.records[t].get(p) for p in members]
-        if any(r is None for r in recs):
-            return None
-        return recs  # type: ignore[return-value]
+        recs = [self.records[t].get(p) for p in self.allocation(t)[z]]
+        return None if any(r is None for r in recs) else recs  # type: ignore[return-value]
 
-    def zone_candidate(self, t: int, z: int) -> bytes | None:
-        """Decrypt zone z's stored copy of block t, or None if impossible."""
-        recs = self.zone_records(t, z)
-        if recs is None:
-            return None
-        m = self.config.m
-        try:
-            key_bytes = shamir.reconstruct_bytes(
-                [r.key_share for r in recs], m, tree_cipher.key_nbytes(m))
-            key = tree_cipher.deserialize_key(key_bytes, m)
-            return tree_cipher.decrypt([r.fragment for r in recs], key)
-        except ValueError:
-            return None
+    def zone_decode(self, t: int, z: int) -> tuple[bytes | None, int | None]:
+        """(zone z's copy of block t, the H_{t-1} it shares), from one interpolation.
 
-    def zone_prev_hash(self, t: int, z: int) -> int | None:
-        """Reconstruct the H_{t-1} value shared across zone z at slot t.
-
-        None if the zone cannot decode it or the value is no width-bit hash.
+        Never raises: a missing record, bad shares or a secret past its byte width
+        give (None, None); a bad key index no block, a hash part >= 2^width no hash.
         """
         recs = self.zone_records(t, z)
         if recs is None:
-            return None
-        width = self.config.hash_width
+            return None, None
         try:
-            value = shamir.reconstruct(hash_field(width), [r.hash_share for r in recs],
-                                       self.config.m)
+            key_bytes, prev_hash = self._zone_secret(recs)
         except ValueError:
-            return None
-        return None if value >> width else value
+            return None, None
+        try:
+            key = tree_cipher.deserialize_key(key_bytes, self.config.m)
+            block = tree_cipher.decrypt([r.fragment for r in recs], key)
+        except ValueError:
+            block = None
+        return block, None if prev_hash >> self.config.hash_width else prev_hash
+
+    def zone_candidate(self, t: int, z: int) -> bytes | None:
+        """Zone z's decrypted copy of block t, or None; see zone_decode."""
+        return self.zone_decode(t, z)[0]
+
+    def zone_prev_hash(self, t: int, z: int) -> int | None:
+        """The H_{t-1} value shared across zone z at slot t, or None; see zone_decode."""
+        return self.zone_decode(t, z)[1]
 
     def repair_zone(self, t: int, z: int, rng) -> None:
         """Recode zone z at slot t with a fresh key, using a donor zone."""
-        n_zones = len(self.allocation(t))
-        payload = prev_hash = None
-        for donor in range(n_zones):
+        for donor in range(len(self.allocation(t))):
             if donor == z:
                 continue
-            payload = self.zone_candidate(t, donor)
-            prev_hash = self.zone_prev_hash(t, donor)
+            payload, prev_hash = self.zone_decode(t, donor)
             if payload is not None and prev_hash is not None:
                 break
-            payload = prev_hash = None
-        if payload is None:
+        else:
             raise UnrepairableError(f"no intact donor zone for slot {t}")
-        members = self.allocation(t)[z]
-        self._encode_zone(members, payload, prev_hash, rng, self.records[t])
+        self._encode_zone(self.allocation(t)[z], payload, prev_hash, rng, self.records[t])
 
     def storage_cost_measured(self, peer: int, slot: int) -> float:
         """Bits actually stored by one peer for one slot."""
         rec = self.records[slot].get(peer)
         if rec is None:
             raise LookupError(f"no record for peer {peer} at slot {slot}")
-        key_bits = key_field(self.config.m).modulus.bit_length()
-        hash_bits = hash_field(self.config.hash_width).modulus.bit_length()
-        bits = 8 * len(rec.fragment)
-        bits += 2 * key_bits  # (x, y) of the key share
-        bits += 2 * hash_bits  # (x, y) of the hash share
-        bits += max(1, math.ceil(math.log2(self.config.m)))
-        return float(bits)
+        share_bits = share_field(self.config.m, self.config.hash_width).modulus.bit_length()
+        bits = 8 * len(rec.fragment) + 2 * share_bits  # fragment, (x, y) of the share
+        return float(bits + max(1, math.ceil(math.log2(self.config.m))))
 
 
 def storage_cost_formula(q_bits: float, p_bits: float, m: int) -> tuple[float, float, float]:
@@ -230,8 +232,7 @@ def snapshot_save(state: ChainState, path) -> None:
                 fh.write(json.dumps({
                     "type": "record", "t": t, "peer": peer,
                     "fragment": r.fragment.hex(),
-                    "key_share": [r.key_share.x, r.key_share.y],
-                    "hash_share": [r.hash_share.x, r.hash_share.y],
+                    "share": [r.share.x, r.share.y],
                 }, sort_keys=True) + "\n")
 
 
@@ -245,11 +246,12 @@ def _parse(text: str) -> dict:
     return line
 
 
-def _required(line: dict, name: str):
-    try:
-        return line[name]
-    except KeyError:
-        raise SnapshotError(f"snapshot {line.get('type')!r} line lacks {name!r}") from None
+def _required(line: dict, name: str, kind=object):
+    if name not in line:
+        raise SnapshotError(f"snapshot {line.get('type')!r} line lacks {name!r}")
+    if kind is not object and type(line[name]) is not kind:  # for int: no bool, no float
+        raise SnapshotError(f"{name} must be {kind.__name__}, got {line[name]!r}")
+    return line[name]
 
 
 def _share(line: dict, name: str, gf: Field) -> shamir.Share:
@@ -277,38 +279,41 @@ def snapshot_load(path) -> ChainState:
         header = _parse(fh.readline())
         if header.get("type") != "config":
             raise SnapshotError("snapshot must start with a config line")
-        state = ChainState(ChainConfig(**{
-            name: _required(header, name)
-            for name in ("n", "m", "block_bytes", "hash_width", "seed")}))
+        try:
+            state = ChainState(ChainConfig(**{
+                name: _required(header, name, int)
+                for name in ("n", "m", "block_bytes", "hash_width", "seed")}))
+        except ConfigurationError as exc:
+            raise SnapshotError(f"snapshot config is invalid: {exc}") from None
         cfg = state.config
         fragment_bytes = cfg.block_bytes // cfg.m
-        key_gf, hash_gf = key_field(cfg.m), hash_field(cfg.hash_width)
+        gf = share_field(cfg.m, cfg.hash_width)
         for line in fh:
             rec = _parse(line)
             kind = rec.get("type")
             if kind == "slot":
+                if _required(rec, "t", int) != state.num_blocks:
+                    raise SnapshotError(f"slot line {rec['t']} at slot {state.num_blocks}")
                 payload = _hex(rec, "payload")
+                if len(payload) != cfg.block_bytes:
+                    raise SnapshotError(f"payload of {len(payload)} bytes, not block_bytes")
                 prev = state.hashes[-1]
                 state.payloads.append(payload)
                 state.hashes.append(hash_step(prev, payload, cfg.hash_width))
                 if state.hashes[-1] != _required(rec, "hash"):
-                    raise SnapshotError(f"hash mismatch at slot {rec.get('t')!r}")
+                    raise SnapshotError(f"hash mismatch at slot {rec['t']}")
                 state.records.append({})
             elif kind == "record":
-                t, peer = _required(rec, "t"), _required(rec, "peer")
-                if type(t) is not int or not 0 <= t < len(state.records):
-                    raise SnapshotError(f"record for undeclared slot {t!r}")
-                if type(peer) is not int or not 0 <= peer < cfg.n:
-                    raise SnapshotError(f"record for peer {peer!r} outside range(n)")
+                t, peer = _required(rec, "t", int), _required(rec, "peer", int)
+                if not 0 <= t < len(state.records):
+                    raise SnapshotError(f"record for undeclared slot {t}")
+                if not 0 <= peer < cfg.n:
+                    raise SnapshotError(f"record for peer {peer} outside range(n)")
                 fragment = _hex(rec, "fragment")
                 if len(fragment) != fragment_bytes:
                     raise SnapshotError(f"fragment of {len(fragment)} bytes, expected "
                                         f"block_bytes / m = {fragment_bytes}")
-                state.records[t][peer] = PeerSlotRecord(
-                    fragment=fragment,
-                    key_share=_share(rec, "key_share", key_gf),
-                    hash_share=_share(rec, "hash_share", hash_gf),
-                )
+                state.records[t][peer] = PeerSlotRecord(fragment, _share(rec, "share", gf))
             else:
                 raise SnapshotError(f"unknown snapshot record type {kind!r}")
     return state

@@ -161,7 +161,7 @@ def scheme_cost_comparison(n: int, m: int, p_bits: int, pprime_fraction: float,
                                    hash_width=min(p_bits, 64), seed=seed))
     rng = random.Random(seed)
     state.commit_block(rng.randbytes(block_bytes), rng)
-    share_evals = 2 * len(state.records[0])  # a key share and a hash share per peer
+    share_evals = len(state.records[0])  # one share of key and previous hash per record
     return {
         "pow_mean_hash_evals": pow_stats["mean_tries"],
         "pow_law": pow_stats["law"],

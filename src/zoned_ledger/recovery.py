@@ -1,10 +1,11 @@
 """Block retrieval with hash-consistency elimination and majority vote.
 
-Every zone decodes its stored copy of the requested block. If the
-candidates disagree, the chain suffix is scanned: for each surviving
-peer, the hash recomputed from its slot-tau zone's decoded block and
-reconstructed previous hash is compared against the hash value
-reconstructed at the peer's slot-(tau+1) zone; peers on the mismatching
+Every zone decodes its stored copy of the requested block, together
+with the previous hash it shares, in one decode. If the candidates
+disagree, the chain suffix is scanned, each (slot, zone) decoded at most
+once: for each surviving peer, the hash recomputed from its slot-tau
+zone's block and previous hash is compared against the hash value
+shared by the peer's slot-(tau+1) zone; peers on the mismatching
 side are eliminated, as are the peers of a zone that decodes its block
 but shares no valid previous hash. The majority among surviving peers'
 zone candidates wins.
@@ -39,15 +40,6 @@ class RecoveryReport:
         }, sort_keys=True)
 
 
-def _surviving_candidates(candidates, peer_zone, active):
-    out = set()
-    for peer in active:
-        c = candidates[peer_zone[peer]]
-        if c is not None:
-            out.add(c)
-    return out
-
-
 def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> RecoveryReport:
     """Recover block t; scan at most scan_limit slots past t for consistency."""
     if not 0 <= t < state.num_blocks:
@@ -55,7 +47,8 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
     cfg = state.config
     n_zones = len(state.allocation(t))
     zones_t = state.peer_zones(t)
-    candidates = {z: state.zone_candidate(t, z) for z in range(n_zones)}
+    decoded = [state.zone_decode(t, z) for z in range(n_zones)]  # (block, H_{t-1})
+    candidates = {z: block for z, (block, _) in enumerate(decoded)}
     report = RecoveryReport(recovered=None, per_zone_candidates=candidates)
     if all(c is None for c in candidates.values()):
         raise UnrecoverableError(f"no zone can decode slot {t}")
@@ -69,33 +62,27 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
         for tau in range(t, last_tau + 1):
             zones_tau = state.peer_zones(tau)
             zones_next = state.peer_zones(tau + 1)
-            if tau == t:  # later slots reuse the previous slot's next_hash
-                blocks_tau = candidates
-                prev_tau = {z: state.zone_prev_hash(tau, z) for z in range(n_zones)}
-            else:
-                blocks_tau = {z: state.zone_candidate(tau, z) for z in range(n_zones)}
-            next_hash = {z: state.zone_prev_hash(tau + 1, z) for z in range(n_zones)}
+            following = [state.zone_decode(tau + 1, z) for z in range(n_zones)]
             recomputed = {
-                z: hash_step(prev_tau[z], blocks_tau[z], cfg.hash_width)
-                for z in blocks_tau
-                if blocks_tau[z] is not None and prev_tau[z] is not None
+                z: hash_step(prev, block, cfg.hash_width)
+                for z, (block, prev) in enumerate(decoded)
+                if block is not None and prev is not None
             }
             dropped = set()
             for peer in active:
                 z = zones_tau[peer]
-                if blocks_tau[z] is not None and prev_tau[z] is None:
+                block, prev = decoded[z]
+                if block is not None and prev is None:
                     dropped.add(peer)  # decodes a block, but no H_{tau-1} to chain it to
                     continue
-                z_next = zones_next[peer]
-                if z not in recomputed or next_hash[z_next] is None:
-                    continue
-                if recomputed[z] != next_hash[z_next]:
+                next_hash = following[zones_next[peer]][1]  # H_tau as slot tau + 1 shares it
+                if z in recomputed and next_hash is not None and recomputed[z] != next_hash:
                     dropped.add(peer)
             active -= dropped
             report.eliminated_peers |= dropped
             report.slots_scanned += 1
-            prev_tau = next_hash  # H_tau as shared by the zones of slot tau + 1
-            if len(_surviving_candidates(candidates, zones_t, active)) <= 1:
+            decoded = following
+            if len({candidates[zones_t[peer]] for peer in active} - {None}) <= 1:
                 break
 
     votes = Counter()

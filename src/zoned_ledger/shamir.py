@@ -3,8 +3,9 @@
 Abscissas are drawn uniformly without replacement from the nonzero field
 elements, so a share is the full point (x, y), not just the ordinate.
 A byte-string secret is read as one big-endian integer and shared as a
-single element of the smallest prime field above 2^(8 * its length), the
-same way a hash value is shared in the field just above 2^width.
+single element of the smallest prime field above 2^(8 * its length); the
+ledger shares each zone's serialized cipher key and previous hash this
+way, as one byte string.
 """
 
 from typing import NamedTuple

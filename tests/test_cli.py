@@ -115,6 +115,32 @@ def test_invalid_config_exits_2(capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("command,config", [
+    ("simulate", {"n": "8"}),
+    ("attack", {"trials": "50"}),
+    ("simulate", {"blocks": 2.5}),
+    ("coverage", {"n": True}),
+    ("availability", {"rho": "0.1"}),
+    ("coverage", {"seed": 1.0}),
+    ("coverage", {"out": 5}),
+], ids=["int_as_str", "trials_as_str", "int_as_float", "int_as_bool", "float_as_str",
+        "seed_as_float", "out_as_int"])
+def test_config_value_of_the_wrong_json_type_exits_2(capsys, tmp_path, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, command, "--config", str(path), "--seed", "1")
+    assert code == 2
+    assert f"config key {next(iter(config))!r}" in stderr
+
+
+def test_config_int_for_a_float_flag_gives_the_flag_bytes(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 8, "m": 4, "rho": 0, "trials": 200}))
+    flags = ("--n", "8", "--m", "4", "--rho", "0", "--trials", "200", "--seed", "1")
+    assert run_cli(capsys, "availability", "--config", str(path), "--seed", "1") == \
+        run_cli(capsys, "availability", *flags)
+
+
 PINNED_STDOUT = {
     ("attack", "--m", "4", "--trials", "500", "--seed", "1"):
         "6859d57b6313017871c3329934676000b57a697ed049f27c67ddea1444dfaabb",
@@ -127,7 +153,7 @@ PINNED_STDOUT = {
     ("coverage", "--n", "24", "--m", "4", "--seed", "0"):
         "01ecea9018af1c52ea7f1254c7399fe586fa20dc76ce5d160d618708824bc9d9",
     ("simulate", "--n", "8", "--m", "4", "--blocks", "5", "--seed", "3"):
-        "18301d9acb37877cac3b7faea029a63ce11764a9a49bd14195a58c22358e537f",
+        "4b6c94f6c6d6d213c0ee78310be22be523607f598c674aee3a3f542f90e77002",
 }
 
 

@@ -4,15 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
                                  SnapshotError, UnrepairableError)
 from zoned_ledger.field import Field
 from zoned_ledger.ledger import (GENESIS_HASH, ChainConfig, ChainState,
-                                 hash_field, hash_step, key_field,
+                                 hash_field, hash_step, share_field,
                                  snapshot_load, snapshot_save,
                                  storage_cost_formula)
-from zoned_ledger.shamir import reconstruct
+from zoned_ledger.shamir import Share, reconstruct
 from zoned_ledger.zones import allocation_at, layout, zone_of
 
 
@@ -95,16 +97,17 @@ def test_zone_fragments_independent_across_zones():
 
 
 def test_share_threshold_is_m_of_m():
-    state, _ = make_chain(n=8, m=4, blocks=1)
-    recs = state.zone_records(0, 0)
-    f = hash_field(state.config.hash_width)
+    state, _ = make_chain(n=8, m=4, blocks=2)
+    f = share_field(4, state.config.hash_width)
     with pytest.raises(InsufficientSharesError):
-        reconstruct(f, [r.hash_share for r in recs[:3]], 4)
-    # forcing interpolation through only 3 of the 4 shares misses the truth
+        reconstruct(f, [r.share for r in state.zone_records(1, 0)[:3]], 4)
+    # all 4 shares give the joint secret, whose low 8 bytes are H_{t-1};
+    # forcing interpolation through only 3 of them misses it
     for z in range(2):
-        zone_recs = state.zone_records(0, z)
-        guess = f.lagrange_interpolate([r.hash_share for r in zone_recs[:3]], 0)
-        assert guess != state.hashes[0]
+        shares = [r.share for r in state.zone_records(1, z)]
+        secret = reconstruct(f, shares, 4)
+        assert secret % 2**64 == state.hashes[1]
+        assert f.lagrange_interpolate(shares[:3], 0) != secret
 
 
 def test_repair_zone_round_trip():
@@ -161,13 +164,15 @@ def test_storage_cost_measured_fragment_portion():
 
 @pytest.mark.parametrize("m,key_bits", [(4, 17), (6, 33), (8, 49), (16, 129)])
 def test_storage_cost_measured_key_share_bits(m, key_bits):
-    # each key share is an (x, y) pair in the prime field just above
-    # 2^(8 * key_nbytes(m)); 2m log2 m bits is 16 / 31 / 48 / 128
+    # the key travels in the one share of key and previous hash, an (x, y)
+    # pair in the prime field just above 2^(8 * key_nbytes(m) + 64): the
+    # key_bits - 1 bits of the key part (2m log2 m is 16 / 31 / 48 / 128)
+    # plus 64 of the hash part, so 81 / 97 / 113 / 193 bits
     state, _ = make_chain(n=2 * m, m=m, block_bytes=m, blocks=1)
-    assert key_field(m).modulus.bit_length() == key_bits
-    hash_bits = hash_field(64).modulus.bit_length()
-    other = 8 + 2 * hash_bits + math.ceil(math.log2(m))
-    assert state.storage_cost_measured(0, 0) == 2 * key_bits + other
+    share_bits = share_field(m, 64).modulus.bit_length()
+    assert share_bits == key_bits + 64 == {4: 81, 6: 97, 8: 113, 16: 193}[m]
+    other = 8 + math.ceil(math.log2(m))
+    assert state.storage_cost_measured(0, 0) == 2 * share_bits + other
 
 
 def test_storage_cost_measured_linear_in_block_size():
@@ -196,15 +201,15 @@ def test_snapshot_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda rec: rec.pop("key_share"),
+    lambda rec: rec.pop("share"),
     lambda rec: rec.pop("peer"),
     lambda rec: rec.update(t=3),
     lambda rec: rec.update(t=-1),
     lambda rec: rec.update(peer=8),
     lambda rec: rec.update(peer=-1),
-    lambda rec: rec.update(key_share=[1, 2, 3]),
-    lambda rec: rec.update(hash_share=5),
-    lambda rec: rec.update(hash_share=["1", 2]),
+    lambda rec: rec.update(share=[1, 2, 3]),
+    lambda rec: rec.update(share=5),
+    lambda rec: rec.update(share=["1", 2]),
     lambda rec: rec.update(type="peer"),
     lambda rec: rec.update(fragment="zz"),
     lambda rec: rec.update(fragment=5),
@@ -218,22 +223,22 @@ def test_snapshot_load_rejects_malformed_record(tmp_path, edit):
 
 
 def _load_with_edited_record(tmp_path, edit):
+    _load_with_edited_line(tmp_path, 2, edit)  # config, slot 0, then its first record
+
+
+def _load_with_edited_line(tmp_path, i, edit):
     state, _ = make_chain(n=8, m=4, blocks=3, seed=12)
     path = tmp_path / "chain.jsonl"
     snapshot_save(state, path)
     lines = path.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == "record")
-    rec = json.loads(lines[i])
-    edit(rec)
-    lines[i] = json.dumps(rec)
+    line = json.loads(lines[i])
+    edit(line)
+    lines[i] = json.dumps(line)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SnapshotError):
         snapshot_load(path)
 
 
-@pytest.mark.parametrize("name,gf", [("key_share", key_field(4)),
-                                     ("hash_share", hash_field(64))],
-                         ids=["key_share", "hash_share"])
 @pytest.mark.parametrize("point", [
     lambda p, y: [0, y],
     lambda p, y: [-1, y],
@@ -241,15 +246,89 @@ def _load_with_edited_record(tmp_path, edit):
     lambda p, y: [1, -1],
     lambda p, y: [1, p],
 ], ids=["x_zero", "x_negative", "x_modulus", "y_negative", "y_modulus"])
-def test_snapshot_load_rejects_share_outside_field(tmp_path, name, gf, point):
-    _load_with_edited_record(
-        tmp_path, lambda rec: rec.update({name: point(gf.modulus, rec[name][1])}))
+def test_snapshot_load_rejects_share_outside_field(tmp_path, point):
+    p = share_field(4, 64).modulus
+    _load_with_edited_record(tmp_path, lambda rec: rec.update(share=point(p, rec["share"][1])))
 
 
 def test_snapshot_load_rejects_key_share_of_the_byte_per_digit_encoding(tmp_path):
-    # at m = 4 the key was once 8 bytes, shared in a 65-bit field; such a
-    # share has a y far past the 17-bit field and would mis-decode
-    _load_with_edited_record(tmp_path, lambda rec: rec.update(key_share=[3, 2**64 + 5]))
+    # at m = 4 the key was once 8 bytes; shared with an 8-byte hash in a
+    # 129-bit field, such a share has a y far past the 81-bit field
+    _load_with_edited_record(tmp_path, lambda rec: rec.update(share=[3, 2**128 + 5]))
+
+
+def test_snapshot_load_rejects_record_with_separate_key_and_hash_shares(tmp_path):
+    def two_shares(rec):
+        x, y = rec.pop("share")
+        rec.update(key_share=[x, y >> 64], hash_share=[x, y % 2**64])
+
+    _load_with_edited_record(tmp_path, two_shares)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(n="8"),
+    lambda h: h.update(n=8.0),
+    lambda h: h.update(n=True),
+    lambda h: h.update(block_bytes=None),
+    lambda h: h.update(hash_width="64"),
+    lambda h: h.update(seed=[1]),
+    lambda h: h.update(n=6),
+    lambda h: h.update(hash_width=300),
+], ids=["n_str", "n_float", "n_bool", "block_bytes_null", "hash_width_str", "seed_list",
+        "n_not_multiple_of_m", "hash_width_too_wide"])
+def test_snapshot_load_rejects_malformed_config(tmp_path, edit):
+    _load_with_edited_line(tmp_path, 0, edit)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.update(t=7),
+    lambda rec: rec.update(t=1.0),
+    lambda rec: rec.update(payload=rec["payload"][:-2]),
+    lambda rec: rec.update(payload=rec["payload"] + "00"),
+], ids=["t_not_position", "t_float", "payload_short", "payload_long"])
+def test_snapshot_load_rejects_malformed_slot(tmp_path, edit):
+    _load_with_edited_line(tmp_path, 1, edit)
+
+
+@pytest.fixture(scope="module")
+def snapshot_lines(tmp_path_factory):
+    """The lines of a saved (8, 4, 16) chain of three blocks."""
+    state, _ = make_chain(n=8, m=4, block_bytes=16, blocks=3, seed=12)
+    path = tmp_path_factory.mktemp("snapshot") / "chain.jsonl"
+    snapshot_save(state, path)
+    return tuple(path.read_text().splitlines())
+
+
+# Ints stay within 17 bits: a header n of 2^64 is a valid configuration whose
+# zone layout alone would not fit in memory.
+JSON_VALUES = st.one_of(st.integers(-2**16, 2**16), st.text(max_size=8), st.floats(),
+                        st.booleans(), st.none(),
+                        st.lists(st.integers(-2**16, 2**16), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_snapshot_load_of_a_mutated_line_loads_or_raises_snapshot_error(
+        tmp_path_factory, snapshot_lines, data):
+    lines = list(snapshot_lines)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    mutation = data.draw(st.sampled_from(["drop", "set", "truncate"]), label="mutation")
+    if mutation == "truncate":
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1), label="length")]
+    else:
+        line = json.loads(lines[i])
+        key = data.draw(st.sampled_from(sorted(line)), label="key")
+        if mutation == "drop":
+            del line[key]
+        else:
+            line[key] = data.draw(JSON_VALUES, label="value")
+        lines[i] = json.dumps(line)
+    path = tmp_path_factory.getbasetemp() / "mutated_chain.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        assert isinstance(snapshot_load(path), ChainState)
+    except SnapshotError:
+        pass
 
 
 @pytest.mark.parametrize("line", ['{"type": "slot"', '[1, 2]', '{"type": "slot", "t": 0}'],
@@ -280,3 +359,14 @@ def test_hash_field_is_injective_for_width():
     f = hash_field(64)
     assert f.modulus > 2**64
     assert Field(f.modulus) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([60, 64]), st.lists(st.integers(), min_size=4, max_size=4))
+def test_zone_decode_returns_for_any_share_values(width, ys):
+    state, _ = make_chain(n=8, m=4, blocks=1, hash_width=width)
+    for rec, y in zip(state.zone_records(0, 0), ys):
+        rec.share = Share(rec.share.x, y)
+    block, prev_hash = state.zone_decode(0, 0)
+    assert block is None or len(block) == 16
+    assert prev_hash is None or 0 <= prev_hash < 2**width

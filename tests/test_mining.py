@@ -136,6 +136,6 @@ def test_scheme_cost_comparison_shape():
                                  runs=300, seed=2)
     assert out["scheme_hash_evals"] == 1
     assert out["pow_mean_hash_evals"] > out["scheme_hash_evals"]
-    # each of the 8 peers stores one key share and one hash share
-    assert out["scheme_share_evaluations"] == 8 * 2
+    # each of the 8 peers stores one share of key and previous hash
+    assert out["scheme_share_evaluations"] == 8 * 1
     assert abs(out["pow_mean_hash_evals"] - out["pow_law"]) < out["pow_law"]

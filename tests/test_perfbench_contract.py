@@ -1,0 +1,53 @@
+"""What ``perfbench`` relies on in the library, checked in process at smoke size.
+
+``perfbench/run.py --smoke`` takes several seconds, most of it in fresh
+interpreters timing set-up. This runs one round of each workload at its
+smoke size, untraced and then again under the tracer, and checks what a
+benchmark run checks: no output check fails, the traced round gives the
+same outputs, every zone encoding draws one fresh key, and of the fault
+probes only ``probe_repair_after_rewrite`` (the first-donor repair rule)
+fails.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import zoned_ledger
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 1
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # Sweeps.run_round sets it; monkeypatch puts back what it was before
+    monkeypatch.setenv("ZONED_LEDGER_THREADS", "1")
+    modules = {name: importlib.import_module(name) for name in ("workloads", "tracer")}
+    yield modules
+    for name in ("workloads", "tracer", "checks"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", ["chain-wide", "churn-contested", "sweeps"])
+def test_workload_round_at_smoke_size(perfbench, name):
+    workloads, tracer_module = perfbench["workloads"], perfbench["tracer"]
+    wl = workloads.WORKLOADS[name](smoke=True)
+    plain = wl.run_round(SEED)
+    if hasattr(wl, "run_probes"):
+        wl.run_probes(plain)
+        assert plain.probes["probe_hash_out_of_range"] == "ok"
+    tracer = tracer_module.Tracer(zoned_ledger)
+    tracer.install()
+    try:
+        traced = wl.run_round(SEED, tracer)
+    finally:
+        tracer.uninstall()
+    assert plain.errors == [] and traced.errors == []
+    assert traced.digest == plain.digest
+    assert tracer.calls["tree_cipher.sample_key"] == wl.expected_sample_keys()
+    failed = {kind for kind, (_, f) in plain.ops.items() if f}
+    assert failed <= {"probe_repair_after_rewrite"}

@@ -5,14 +5,16 @@ import pytest
 
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
 from zoned_ledger.errors import AmbiguousRecoveryError, UnrecoverableError
-from zoned_ledger.ledger import ChainConfig, ChainState, hash_field, key_field
+from zoned_ledger.ledger import ChainConfig, ChainState, share_field
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
-from zoned_ledger.shamir import Share, split
+from zoned_ledger.shamir import Share, reconstruct_bytes, split, split_bytes
+from zoned_ledger.tree_cipher import key_nbytes
 
 
-def make_chain(n=24, m=4, block_bytes=32, blocks=8, seed=0):
-    state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes, seed=seed))
+def make_chain(n=24, m=4, block_bytes=32, blocks=8, seed=0, hash_width=64):
+    state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes,
+                                   hash_width=hash_width, seed=seed))
     rng = random.Random(seed)
     for _ in range(blocks):
         state.commit_block(rng.randbytes(block_bytes), rng)
@@ -100,19 +102,22 @@ def test_elimination_requires_a_failed_comparison():
 @pytest.mark.parametrize("plant_first", [True, False],
                          ids=["planted_then_rewritten", "rewritten_then_planted"])
 def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
-    # zone 0 of slot 0 is rewritten, and its previous-hash shares are set to
-    # 2^width + 1: an element of the sharing field that is no width-bit hash.
-    # Either way round, the rewritten zone's peers are eliminated at slot 0:
-    # by the hash comparison, or for decoding a block with no valid H_{-1}.
-    state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=17)
+    # zone 0 of slot 0 is rewritten, and its shares are replaced by shares of
+    # its own key followed by a hash part of 2^60 + 1: 8 bytes, as any 60-bit
+    # hash takes, but no 60-bit hash. Either way round, the rewritten zone's
+    # peers are eliminated at slot 0: by the hash comparison, or for
+    # decoding a block with no valid H_{-1}.
+    state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=17, hash_width=60)
     cfg = state.config
     forged = bytes(b ^ 0xFF for b in state.payloads[0])
 
     def plant():
-        shares = split(hash_field(cfg.hash_width), 2**cfg.hash_width + 1,
-                       cfg.m, cfg.m, rng)
-        for share, peer in zip(shares, sorted(state.allocation(0)[0])):
-            state.records[0][peer].hash_share = share
+        recs = state.zone_records(0, 0)
+        nkey = key_nbytes(cfg.m)
+        key_bytes = reconstruct_bytes([r.share for r in recs], cfg.m, nkey + 8)[:nkey]
+        shares = split_bytes(key_bytes + (2**60 + 1).to_bytes(8, "big"), cfg.m, cfg.m, rng)
+        for rec, share in zip(recs, shares):
+            rec.share = share
 
     if plant_first:
         plant()
@@ -128,16 +133,31 @@ def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
     assert report.slots_scanned == 1
 
 
+def test_shared_value_past_the_byte_width_decodes_to_nothing():
+    # a zone's shares of p - 1, with p the sharing field's prime: an element
+    # of the field, but past the 10 bytes of key and hash it should fill
+    state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=3)
+    gf = share_field(4, 64)
+    recs = state.zone_records(1, 2)
+    for rec, share in zip(recs, split(gf, gf.modulus - 1, 4, 4, rng)):
+        rec.share = share
+    assert state.zone_decode(1, 2) == (None, None)
+    report = recover_block(state, 1)
+    assert report.recovered == state.payloads[1]
+    assert report.per_zone_candidates[2] is None
+
+
 def test_tampered_key_share_that_decodes_to_a_wrong_key_is_eliminated():
-    # every index below key_space(m) is a key, so at m = 4 a random key
-    # share decodes to some valid key about 3 times in 8; this seeded
-    # tampering is one such case, and the zone yields a wrong block
+    # every index below key_space(m) is a key, so at m = 4 a random share,
+    # whose joint secret then has a random key part, decodes to some valid
+    # key about 3 times in 8; this seeded tampering is one such case, and
+    # the zone yields a wrong block
     state, _ = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=0)
     t, z = 2, 0
     zone = set(state.allocation(t)[z])
     rng = random.Random(0)
     rec = state.records[t][rng.choice(sorted(zone))]
-    rec.key_share = Share(rec.key_share.x, key_field(state.config.m).rand(rng))
+    rec.share = Share(rec.share.x, share_field(state.config.m, 64).rand(rng))
     candidate = state.zone_candidate(t, z)
     assert candidate is not None and candidate != state.payloads[t]
     report = recover_block(state, t)
@@ -152,17 +172,20 @@ def test_recover_block_decodes_each_zone_once(monkeypatch):
     # one rewritten peer loses its slot t+1 record, so its hash check goes
     # unanswered and the scan runs the whole chain suffix
     state.erase_peer_record(t + 1, state.allocation(t)[0][0])
-    decodes = Counter()
-    for name in ("zone_candidate", "zone_prev_hash"):
+    calls = Counter()
+    for name in ("zone_decode", "zone_candidate", "zone_prev_hash"):
         def counted(self, tau, z, _name=name, _decode=getattr(ChainState, name)):
-            decodes[_name, tau, z] += 1
+            calls[_name, tau, z] += 1
             return _decode(self, tau, z)
         monkeypatch.setattr(ChainState, name, counted)
     report = recover_block(state, t)
     assert report.recovered == state.payloads[t]
     assert report.slots_scanned == state.num_blocks - 1 - t
-    twice = [key for key, count in decodes.items() if count > 1]
-    assert twice == []
+    assert {name for name, *_ in calls} == {"zone_decode"}
+    # every zone of slots t .. num_blocks - 1, each decoded exactly once
+    assert sorted(calls) == [("zone_decode", tau, z) for tau in range(t, state.num_blocks)
+                             for z in range(len(state.allocation(t)))]
+    assert set(calls.values()) == {1}
 
 
 def test_report_json_round_trippable():
