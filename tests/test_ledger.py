@@ -222,12 +222,12 @@ def test_snapshot_load_rejects_malformed_record(tmp_path, edit):
     _load_with_edited_record(tmp_path, edit)
 
 
-def _load_with_edited_record(tmp_path, edit):
-    _load_with_edited_line(tmp_path, 2, edit)  # config, slot 0, then its first record
+def _load_with_edited_record(tmp_path, edit, **chain):
+    _load_with_edited_line(tmp_path, 2, edit, **chain)  # config, slot 0, then its first record
 
 
-def _load_with_edited_line(tmp_path, i, edit):
-    state, _ = make_chain(n=8, m=4, blocks=3, seed=12)
+def _load_with_edited_line(tmp_path, i, edit, m=4, hash_width=64):
+    state, _ = make_chain(n=8, m=m, blocks=3, seed=12, hash_width=hash_width)
     path = tmp_path / "chain.jsonl"
     snapshot_save(state, path)
     lines = path.read_text().splitlines()
@@ -239,6 +239,10 @@ def _load_with_edited_line(tmp_path, i, edit):
         snapshot_load(path)
 
 
+# the one share carries the key and the previous hash; each case widens one
+# part of that secret, so the field the loader checks against follows it
+@pytest.mark.parametrize("m,hash_width", [(8, 64), (4, 128)],
+                         ids=["key_share", "hash_share"])
 @pytest.mark.parametrize("point", [
     lambda p, y: [0, y],
     lambda p, y: [-1, y],
@@ -246,9 +250,12 @@ def _load_with_edited_line(tmp_path, i, edit):
     lambda p, y: [1, -1],
     lambda p, y: [1, p],
 ], ids=["x_zero", "x_negative", "x_modulus", "y_negative", "y_modulus"])
-def test_snapshot_load_rejects_share_outside_field(tmp_path, point):
-    p = share_field(4, 64).modulus
-    _load_with_edited_record(tmp_path, lambda rec: rec.update(share=point(p, rec["share"][1])))
+def test_snapshot_load_rejects_share_outside_field(tmp_path, m, hash_width, point):
+    p = share_field(m, hash_width).modulus
+    assert p > share_field(4, 64).modulus
+    _load_with_edited_record(
+        tmp_path, lambda rec: rec.update(share=point(p, rec["share"][1])),
+        m=m, hash_width=hash_width)
 
 
 def test_snapshot_load_rejects_key_share_of_the_byte_per_digit_encoding(tmp_path):
