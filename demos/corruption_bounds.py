@@ -1,4 +1,4 @@
-"""Monte Carlo corruption rates against their closed-form bounds.
+"""Monte Carlo corruption rates against their closed forms and bounds.
 
 Run: python demos/corruption_bounds.py
 """
@@ -16,6 +16,14 @@ for c in range(2, m + 1):
     s = zone_corruption_trial(m, c, trials, seed=c)
     exact = zone_corruption_exact(m, c)
     print(f"  {c}  {s.estimate:.5f}    {exact:.5f}    {s.bound:.5f}")
+
+print()
+print("single-zone fragment rewrite, exact closed form at larger zones:")
+print("  m   c  exact      bound c(c-1)/(m(m-1))")
+for big_m in (8, 16):
+    for c in range(2, big_m + 1, 2):
+        bound = c * (c - 1) / (big_m * (big_m - 1))
+        print(f"  {big_m:<2}  {c:<2} {zone_corruption_exact(big_m, c):.5f}    {bound:.5f}")
 
 print()
 print("hash-share rewrite with one honest peer, small field (q=131):")

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import ConfigurationError
 from .field import prime_field
 from .ledger import ChainState, hash_step
 from .shamir import Share, split
-from .tree_cipher import CipherKey, RootedTree, corruption_oracle, sample_key
+from .tree_cipher import CipherKey, corruption_oracle, sample_key
 from .zones import allocation_at, layout
 
 
@@ -101,27 +102,24 @@ def zone_corruption_trial(m: int, c: int, trials: int, seed: int) -> TrialSummar
 
 
 def zone_corruption_exact(m: int, c: int) -> float:
-    """Exhaustive success probability of zone_corruption_trial (m <= 6)."""
-    if m > 6:
-        raise ConfigurationError("exhaustive oracle limited to m <= 6")
-    if m == 1:
-        return 1.0
-    total = 0.0
-    count = 0
-    seqs = itertools.product(range(m), repeat=max(0, m - 2))
-    for seq in seqs:
-        for root in range(m):
-            tree = tree_cipher.tree_from_prufer(list(seq), m, root)
-            required = len(tree.subtree(0) | {root})
-            # Uniform assignment + uniform c-subset: the required nodes'
-            # peers are a uniform required-sized subset of the m peers.
-            if c >= required:
-                p = math.comb(m - required, c - required) / math.comb(m, c)
-            else:
-                p = 0.0
-            total += p
-            count += 1
-    return total / count
+    """Exact success probability of zone_corruption_trial, as a sum of m terms.
+
+    The required nodes are subtree(0) and the root. The root is node 0
+    in 1/m of the m^(m-1) rooted trees, and then all m nodes are
+    required; otherwise |subtree(0)| = s in (m-1)·C(m-2, s-1)·s^(s-2)·
+    (m-s)^(m-s-1) of them, by counting rooted forests (Moon, Counting
+    Labelled Trees, 1970). The assignment and the corrupted c-subset are
+    uniform, so r required nodes are all corrupted with probability
+    C(m-r, c-r)/C(m, c).
+    """
+    if not 1 <= c <= m:
+        raise ConfigurationError("need 1 <= c <= m")
+    total = Fraction(int(c == m), m)  # root is node 0: r = m, so c = m wins
+    for s in range(1, c):  # root elsewhere: r = s + 1 <= c
+        trees = ((m - 1) * math.comb(m - 2, s - 1)
+                 * Fraction(s) ** (s - 2) * (m - s) ** (m - s - 1))
+        total += trees / m ** (m - 1) * math.comb(m - s - 1, c - s - 1)
+    return float(total / math.comb(m, c))
 
 
 def joint_corruption_bound(n: int, m: int, per_zone_c) -> float:

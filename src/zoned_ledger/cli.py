@@ -186,8 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(args) -> None:
     if not args.config:
         return
-    with open(args.config, encoding="utf-8") as fh:
-        defaults = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigurationError(f"cannot read config file {args.config!r}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ConfigurationError(f"config file {args.config!r} must hold a JSON object")
     for key, value in defaults.items():
         attr = key.replace("-", "_")
         ftype = args._types.get(attr)

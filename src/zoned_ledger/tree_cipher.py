@@ -31,7 +31,8 @@ class RootedTree:
         m = len(self.parents)
         if not 0 <= self.root < m or self.parents[self.root] != self.root:
             raise ValueError("root must be its own parent")
-        seen = 0
+        if min(self.parents) < 0 or max(self.parents) >= m:
+            raise ValueError("parent pointers must name nodes")
         for i in range(m):
             node, hops = i, 0
             while node != self.root:
@@ -39,35 +40,6 @@ class RootedTree:
                 hops += 1
                 if hops > m:
                     raise ValueError("parent pointers contain a cycle")
-            seen += 1
-        if seen != m:
-            raise ValueError("not all nodes reach the root")
-
-    def children(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in range(self.m)]
-        for i, p in enumerate(self.parents):
-            if i != self.root:
-                kids[p].append(i)
-        return kids
-
-    def subtree(self, node: int) -> set[int]:
-        kids = self.children()
-        out, stack = set(), [node]
-        while stack:
-            v = stack.pop()
-            out.add(v)
-            stack.extend(kids[v])
-        return out
-
-    def topological_order(self) -> list[int]:
-        """Root first, every node after its parent."""
-        kids = self.children()
-        order, stack = [], [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(kids[v])
-        return order
 
 
 @dataclass(frozen=True)
@@ -192,18 +164,25 @@ def encode_values(values, key: CipherKey, mask: int) -> list[int]:
 
 
 def decode_values(codes, key: CipherKey, mask: int) -> list[int]:
-    """Invert encode_values; input and output are node-indexed."""
+    """Invert encode_values; input and output are node-indexed.
+
+    The root's plaintext comes first; every other node's is filled in
+    along its path up to the nearest node already known.
+    """
     m, root = key.m, key.tree.root
-    flips = key.flips
+    parents, flips = key.tree.parents, key.flips
     root_code = codes[root] ^ mask if flips[root] else codes[root]
-    b_root = reduce(lambda a, j: a ^ codes[j],
-                    (j for j in range(m) if j != root), root_code)
-    plain = [0] * m
-    plain[root] = b_root
-    parents = key.tree.parents
-    for i in key.tree.topological_order()[1:]:
-        c = codes[i] ^ mask if flips[i] else codes[i]
-        plain[i] = c ^ plain[parents[i]]
+    plain = [None] * m
+    plain[root] = reduce(lambda a, j: a ^ codes[j],
+                         (j for j in range(m) if j != root), root_code)
+    for node in range(m):
+        path = []
+        while plain[node] is None:
+            path.append(node)
+            node = parents[node]
+        for v in reversed(path):
+            c = codes[v] ^ mask if flips[v] else codes[v]
+            plain[v] = c ^ plain[parents[v]]
     return plain
 
 
@@ -241,17 +220,24 @@ def corruption_oracle(key: CipherKey, corrupted_peers, target_change) -> bool:
 
     Changing the plaintext of node i forces codeword rewrites in the whole
     subtree rooted at i, and any change at all forces a rewrite at the root.
+    So a node is required iff it is the root or its walk up the parent
+    pointers meets a target node.
     """
     target = set(target_change)
     if not target:
         return True
-    required_nodes: set[int] = {key.tree.root}
-    for node in target:
-        required_nodes |= key.tree.subtree(node)
     corrupted = set(corrupted_peers)
-    return all(peer in corrupted
-               for peer, node in enumerate(key.assignment)
-               if node in required_nodes)
+    parents, root = key.tree.parents, key.tree.root
+    for peer, node in enumerate(key.assignment):
+        if peer in corrupted:
+            continue
+        if node == root:
+            return False
+        while node not in target and node != root:
+            node = parents[node]
+        if node in target:
+            return False
+    return True
 
 
 @cache

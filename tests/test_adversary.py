@@ -42,6 +42,9 @@ def test_zone_corruption_edge_cases():
         zone_corruption_trial(6, 0, 10, 0)
     with pytest.raises(ConfigurationError):
         zone_corruption_trial(6, 7, 10, 0)
+    for c in (0, 7):
+        with pytest.raises(ConfigurationError):
+            zone_corruption_exact(6, c)
 
 
 @pytest.mark.parametrize("m,c", [(2, 2), (3, 2), (4, 2), (4, 3), (6, 3)])
@@ -52,10 +55,15 @@ def test_zone_corruption_matches_exhaustive(m, c):
         max(exact * (1 - exact), 1e-9) / s.trials)
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 8, 16])
 def test_zone_corruption_exact_below_bound(m):
     for c in range(2, m):
         assert zone_corruption_exact(m, c) <= c * (c - 1) / (m * (m - 1)) + 1e-12
+
+
+@pytest.mark.parametrize("c,expected", [(2, 0.0032), (4, 0.0201), (8, 0.1072)])
+def test_zone_corruption_exact_at_m16(c, expected):
+    assert round(zone_corruption_exact(16, c), 4) == expected
 
 
 def test_joint_corruption_bound_values():

@@ -133,6 +133,17 @@ def test_config_value_of_the_wrong_json_type_exits_2(capsys, tmp_path, command, 
     assert f"config key {next(iter(config))!r}" in stderr
 
 
+@pytest.mark.parametrize("content", ["[1]", '{"n": 8', None],
+                         ids=["not_an_object", "truncated", "missing_file"])
+def test_malformed_config_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code, _, stderr = run_cli(capsys, "coverage", "--config", str(path), "--seed", "0")
+    assert code == 2
+    assert stderr.startswith("error: ") and "cfg.json" in stderr
+
+
 def test_config_int_for_a_float_flag_gives_the_flag_bytes(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 8, "m": 4, "rho": 0, "trials": 200}))

@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zoned_ledger.adversary import zone_corruption_exact
 from zoned_ledger.errors import ConfigurationError, KeyDecodeError
 from zoned_ledger.tree_cipher import (CipherKey, RootedTree, corruption_oracle,
                                       decrypt, deserialize_key, encode_values,
@@ -19,6 +21,31 @@ def all_rooted_trees(m):
     for seq in itertools.product(range(m), repeat=max(0, m - 2)):
         for root in range(m):
             yield tree_from_prufer(list(seq), m, root)
+
+
+def reference_subtree(tree, node):
+    """The nodes below and at node, by a search over rebuilt child lists."""
+    kids = [[] for _ in range(tree.m)]
+    for i, p in enumerate(tree.parents):
+        if i != tree.root:
+            kids[p].append(i)
+    out, stack = set(), [node]
+    while stack:
+        v = stack.pop()
+        out.add(v)
+        stack.extend(kids[v])
+    return out
+
+
+def reference_corruption_oracle(key, corrupted_peers, target_change):
+    """corruption_oracle as the union of the targets' subtrees and the root."""
+    target = set(target_change)
+    if not target:
+        return True
+    required = {key.tree.root}.union(*(reference_subtree(key.tree, v) for v in target))
+    corrupted = set(corrupted_peers)
+    return all(peer in corrupted
+               for peer, node in enumerate(key.assignment) if node in required)
 
 
 @pytest.mark.parametrize("m,expected", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625)])
@@ -66,7 +93,7 @@ def test_m1_flip_complements():
     assert decrypt([b"\x5a\xf0"], key) == block
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 6, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 8, 16])
 def test_round_trip_random(m):
     rng = random.Random(m)
     for _ in range(200):
@@ -143,6 +170,36 @@ def test_corruption_oracle_matches_exhaustive_rewrite():
 
     assert corruption_oracle(key, {0, 2}, {2}) == rewrite_reaches({0, 2}) is True
     assert corruption_oracle(key, {2}, {2}) == rewrite_reaches({2}) is False
+
+
+@given(st.integers(1, 16).flatmap(lambda m: st.tuples(
+    st.just(m), st.randoms(use_true_random=False),
+    st.sets(st.integers(0, m - 1)), st.sets(st.integers(0, m - 1)))))
+def test_corruption_oracle_matches_subtree_reference(case):
+    m, rng, corrupted, target = case
+    key = sample_key(m, rng)
+    assert corruption_oracle(key, corrupted, target) == \
+        reference_corruption_oracle(key, corrupted, target)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_zone_corruption_exact_matches_tree_enumeration(m):
+    # the assignment and the corrupted peers are uniform, so the corrupted
+    # nodes are a uniform c-subset: count the (tree, subset) pairs that
+    # cover subtree(0) and the root, over all m^(m-1) rooted trees
+    required = [reference_subtree(t, 0) | {t.root} for t in all_rooted_trees(m)]
+    for c in range(1, m + 1):
+        subsets = [set(s) for s in itertools.combinations(range(m), c)]
+        hits = sum(need <= s for need in required for s in subsets)
+        exact = Fraction(hits, len(required) * len(subsets))
+        assert zone_corruption_exact(m, c) == float(exact)
+
+
+@pytest.mark.parametrize("parents,root", [((0, 2), 0), ((0, -2), 0), ((0, 2, 1), 0),
+                                          ((1, 0), 0), ((0,), 1)])
+def test_rooted_tree_rejects_bad_parents(parents, root):
+    with pytest.raises(ValueError):
+        RootedTree(parents, root)
 
 
 def test_statistical_security_of_missing_fragment():
