@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import tree_cipher
 from .errors import ConfigurationError
 from .field import prime_field
@@ -191,6 +189,7 @@ def availability_trial(n: int, m: int, rho: float, trials: int, seed: int) -> Tr
     layout(n, m)
     if not 0 <= rho < 1:
         raise ConfigurationError("rho must be in [0, 1)")
+    import numpy as np  # here, not at module top: it costs ~0.15 s and nothing else uses it
     gen = np.random.default_rng(seed)
     active = gen.random((trials, n)) >= rho
     ok = active.reshape(trials, n // m, m).all(axis=2).any(axis=1)

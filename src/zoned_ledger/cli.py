@@ -37,6 +37,8 @@ def _emit(records, summary_rows, out_path):
 
 
 def cmd_simulate(args) -> int:
+    if args.scan_limit is not None and args.scan_limit < 0:
+        raise ConfigurationError(f"--scan-limit must be >= 0, got {args.scan_limit}")
     cfg = ChainConfig(n=args.n, m=args.m, block_bytes=args.block_bytes,
                       hash_width=args.hash_width, seed=args.seed)
     state = ChainState(cfg)

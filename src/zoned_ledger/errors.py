@@ -17,6 +17,10 @@ class SnapshotError(ValueError):
     """A chain snapshot file is malformed or inconsistent."""
 
 
+class SlotError(IndexError):
+    """A slot index outside the committed blocks, or a zone index outside the slot's zones."""
+
+
 class UnrecoverableError(RuntimeError):
     """No zone can produce a candidate block for the requested slot."""
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import shamir, tree_cipher, zones
-from .errors import ConfigurationError, SnapshotError, UnrepairableError
+from .errors import ConfigurationError, SlotError, SnapshotError, UnrepairableError
 from .field import Field, prime_field
 
 GENESIS_HASH = 0
@@ -97,6 +97,20 @@ class ChainState:
             entry = self._schedule[r] = (alloc, tuple(peer_zone))
         return entry
 
+    def _slot(self, t: int) -> dict[int, PeerSlotRecord]:
+        """The records of committed slot t; SlotError for any other t."""
+        if not 0 <= t < self.num_blocks:
+            raise SlotError(f"slot {t} is not in range({self.num_blocks})")
+        return self.records[t]
+
+    def _zone(self, t: int, z: int) -> tuple[int, ...]:
+        """The peers of zone z at committed slot t; SlotError for any other (t, z)."""
+        self._slot(t)
+        alloc = self.allocation(t)
+        if not 0 <= z < len(alloc):
+            raise SlotError(f"zone {z} is not in range({len(alloc)}) at slot {t}")
+        return alloc[z]
+
     def allocation(self, t: int) -> tuple[tuple[int, ...], ...]:
         """Zones of slot t, each a sorted tuple of peers, as zones.allocation_at gives."""
         return self._slot_schedule(t)[0]
@@ -141,18 +155,19 @@ class ChainState:
         self.records.append(slot_records)
 
     def erase_peer_record(self, t: int, peer: int) -> None:
-        self.records[t].pop(peer, None)
+        self._slot(t).pop(peer, None)
 
     def zone_records(self, t: int, z: int) -> list[PeerSlotRecord] | None:
         """Records of zone z at slot t in peer order, or None if any is missing."""
-        recs = [self.records[t].get(p) for p in self.allocation(t)[z]]
+        recs = [self.records[t].get(p) for p in self._zone(t, z)]
         return None if any(r is None for r in recs) else recs  # type: ignore[return-value]
 
     def zone_decode(self, t: int, z: int) -> tuple[bytes | None, int | None]:
         """(zone z's copy of block t, the H_{t-1} it shares), from one interpolation.
 
-        Never raises: a missing record, bad shares or a secret past its byte width
-        give (None, None); a bad key index no block, a hash part >= 2^width no hash.
+        Raises SlotError only for a (t, z) outside the committed slots and their
+        zones. A missing record, bad shares or a secret past its byte width give
+        (None, None); a bad key index no block, a hash part >= 2^width no hash.
         """
         recs = self.zone_records(t, z)
         if recs is None:
@@ -178,6 +193,7 @@ class ChainState:
 
     def repair_zone(self, t: int, z: int, rng) -> None:
         """Recode zone z at slot t with a fresh key, using a donor zone."""
+        members = self._zone(t, z)
         for donor in range(len(self.allocation(t))):
             if donor == z:
                 continue
@@ -186,11 +202,11 @@ class ChainState:
                 break
         else:
             raise UnrepairableError(f"no intact donor zone for slot {t}")
-        self._encode_zone(self.allocation(t)[z], payload, prev_hash, rng, self.records[t])
+        self._encode_zone(members, payload, prev_hash, rng, self.records[t])
 
     def storage_cost_measured(self, peer: int, slot: int) -> float:
         """Bits actually stored by one peer for one slot."""
-        rec = self.records[slot].get(peer)
+        rec = self._slot(slot).get(peer)
         if rec is None:
             raise LookupError(f"no record for peer {peer} at slot {slot}")
         share_bits = share_field(self.config.m, self.config.hash_width).modulus.bit_length()

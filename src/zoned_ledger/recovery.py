@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import AmbiguousRecoveryError, UnrecoverableError
+from .errors import AmbiguousRecoveryError, ConfigurationError, SlotError, UnrecoverableError
 from .ledger import ChainState, hash_step
 
 
@@ -43,7 +43,9 @@ class RecoveryReport:
 def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> RecoveryReport:
     """Recover block t; scan at most scan_limit slots past t for consistency."""
     if not 0 <= t < state.num_blocks:
-        raise IndexError(f"slot {t} not committed")
+        raise SlotError(f"slot {t} not committed")
+    if scan_limit is not None and scan_limit < 0:
+        raise ConfigurationError(f"scan_limit must be None or >= 0, got {scan_limit}")
     cfg = state.config
     n_zones = len(state.allocation(t))
     zones_t = state.peer_zones(t)

@@ -1,6 +1,6 @@
 """Cyclic zone allocation via the round-robin circle method.
 
-Peers are split once into 2n' groups of m/2 (n' = n/m). Each slot pairs
+Peers fall into 2n' consecutive groups of m/2 (n' = n/m). Each slot pairs
 the groups with one perfect matching of the complete graph on group
 vertices: group 0 stays fixed, the others rotate, giving a schedule
 with period 2n' - 1 in which every group pair meets exactly once.
@@ -14,13 +14,27 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class GroupLayout:
+    """Peers 0..n-1 in 2n/m consecutive groups of m/2, each built on demand."""
+
     n: int
     m: int
-    groups: tuple[tuple[int, ...], ...]
+
+    @property
+    def num_groups(self) -> int:
+        return 2 * self.n // self.m
 
     @property
     def period(self) -> int:
-        return max(1, len(self.groups) - 1)
+        return self.num_groups - 1
+
+    def group(self, g: int) -> tuple[int, ...]:
+        half = self.m // 2
+        return tuple(range(g * half, (g + 1) * half))
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Every group, in order; builds all n peers, so only for small n."""
+        return tuple(self.group(g) for g in range(self.num_groups))
 
 
 def layout(n: int, m: int) -> GroupLayout:
@@ -29,9 +43,7 @@ def layout(n: int, m: int) -> GroupLayout:
         raise ConfigurationError(f"zone size m must be even and >= 2, got {m}")
     if n % m != 0 or n < m:
         raise ConfigurationError(f"n={n} must be a positive multiple of m={m}")
-    half = m // 2
-    groups = tuple(tuple(range(g * half, (g + 1) * half)) for g in range(2 * n // m))
-    return GroupLayout(n, m, groups)
+    return GroupLayout(n, m)
 
 
 def allocation_at(lay: GroupLayout, t: int) -> list[tuple[int, ...]]:
@@ -40,7 +52,7 @@ def allocation_at(lay: GroupLayout, t: int) -> list[tuple[int, ...]]:
     Zones are listed in order of their smallest peer, so the allocation
     is a deterministic function of (n, m, t).
     """
-    g = len(lay.groups)
+    g = lay.num_groups
     if g == 2:
         pairs = [(0, 1)]
     else:
@@ -49,7 +61,7 @@ def allocation_at(lay: GroupLayout, t: int) -> list[tuple[int, ...]]:
         pairs = [(0, arr[0])]
         for i in range(1, (g - 1) // 2 + 1):
             pairs.append((arr[i], arr[g - 1 - i]))
-    zones = [tuple(sorted(lay.groups[a] + lay.groups[b])) for a, b in pairs]
+    zones = [tuple(sorted(lay.group(a) + lay.group(b))) for a, b in pairs]
     return sorted(zones, key=lambda z: z[0])
 
 
@@ -62,8 +74,7 @@ def zone_of(zones, peer: int) -> int:
 
 def coverage_slots(n: int, m: int) -> int:
     """Slots until every peer pair has shared a zone: 2n/m - 1."""
-    layout(n, m)
-    return 2 * n // m - 1
+    return layout(n, m).period
 
 
 def allocation_count(n: int, m: int) -> int:

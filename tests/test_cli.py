@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,35 @@ def test_invalid_config_exits_2(capsys):
                               "--seed", "0")
     assert code == 2
     assert "error:" in stderr
+
+
+def test_negative_scan_limit_exits_2(capsys):
+    code, stdout, stderr = run_cli(capsys, "simulate", "--n", "8", "--m", "4",
+                                   "--blocks", "3", "--scan-limit", "-1", "--seed", "0")
+    assert code == 2
+    assert stdout == "" and "--scan-limit" in stderr
+
+
+NUMPY_PROBE = """
+import sys
+import zoned_ledger
+from zoned_ledger import adversary, cli, mining
+for argv in (["simulate", "--n", "8", "--m", "4", "--blocks", "3"],
+             ["coverage", "--n", "8", "--m", "4"], ["storage-cost"],
+             ["attack", "--m", "4", "--trials", "50"], ["mining", "--trials", "5"]):
+    assert cli.main(argv + ["--seed", "0"]) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded before the availability trial"
+assert cli.main(["availability", "--trials", "100", "--seed", "0"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_availability_trial_loads_numpy():
+    # in a fresh interpreter: importing numpy costs ~0.15 s of every process
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
+                            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("command,config", [

@@ -2,18 +2,20 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
-                                 SnapshotError, UnrepairableError)
+                                 SlotError, SnapshotError, UnrepairableError)
 from zoned_ledger.field import Field
 from zoned_ledger.ledger import (GENESIS_HASH, ChainConfig, ChainState,
                                  hash_field, hash_step, share_field,
                                  snapshot_load, snapshot_save,
                                  storage_cost_formula)
+from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct
 from zoned_ledger.zones import allocation_at, layout, zone_of
 
@@ -129,6 +131,51 @@ def test_repair_unrepairable_when_every_zone_hit():
         state.erase_peer_record(0, members[0])
     with pytest.raises(UnrepairableError):
         state.repair_zone(0, 0, rng)
+
+
+# A (24, 4, 48) chain of 4 blocks has 6 zones per slot. Unchecked, t = -1
+# would read (and repair would write) slot 3's records with residue 10's zones.
+@pytest.mark.parametrize("call", [
+    lambda s, rng: s.zone_records(-1, 0),
+    lambda s, rng: s.zone_records(0, 6),
+    lambda s, rng: s.zone_decode(-1, 0),
+    lambda s, rng: s.zone_decode(4, 0),
+    lambda s, rng: s.zone_decode(0, -1),
+    lambda s, rng: s.zone_candidate(9, 0),
+    lambda s, rng: s.zone_prev_hash(0, 6),
+    lambda s, rng: s.repair_zone(-1, 0, rng),
+    lambda s, rng: s.repair_zone(4, 0, rng),
+    lambda s, rng: s.repair_zone(0, -1, rng),
+    lambda s, rng: s.repair_zone(0, 6, rng),
+    lambda s, rng: s.erase_peer_record(-1, 0),
+    lambda s, rng: s.erase_peer_record(4, 0),
+    lambda s, rng: s.storage_cost_measured(0, -1),
+    lambda s, rng: s.storage_cost_measured(0, 4),
+    lambda s, rng: recover_block(s, -1),
+    lambda s, rng: recover_block(s, 4),
+], ids=["records_t_neg", "records_z_past", "decode_t_neg", "decode_t_past", "decode_z_neg",
+        "candidate_t_past", "prev_hash_z_past", "repair_t_neg", "repair_t_past",
+        "repair_z_neg", "repair_z_past", "erase_t_neg", "erase_t_past", "cost_t_neg",
+        "cost_t_past", "recover_t_neg", "recover_t_past"])
+def test_slot_or_zone_out_of_range_raises_slot_error(call):
+    state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=4, seed=0)
+    with pytest.raises(SlotError):
+        call(state, rng)
+    for t in range(state.num_blocks):  # and no record was touched
+        for z in range(len(state.allocation(t))):
+            assert state.zone_decode(t, z) == (state.payloads[t], state.hashes[t])
+        assert len(state.records[t]) == 24
+
+
+@pytest.mark.parametrize("n", [2**16, 2**40])
+def test_config_and_state_of_a_huge_network_take_no_memory_per_peer(n):
+    tracemalloc.start()
+    try:
+        ChainState(ChainConfig(n=n, m=4, block_bytes=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_storage_cost_formula_values():
@@ -306,11 +353,9 @@ def snapshot_lines(tmp_path_factory):
     return tuple(path.read_text().splitlines())
 
 
-# Ints stay within 17 bits: a header n of 2^64 is a valid configuration whose
-# zone layout alone would not fit in memory.
-JSON_VALUES = st.one_of(st.integers(-2**16, 2**16), st.text(max_size=8), st.floats(),
+JSON_VALUES = st.one_of(st.integers(-2**64, 2**64), st.text(max_size=8), st.floats(),
                         st.booleans(), st.none(),
-                        st.lists(st.integers(-2**16, 2**16), max_size=3))
+                        st.lists(st.integers(-2**64, 2**64), max_size=3))
 
 
 @settings(max_examples=300, deadline=None)

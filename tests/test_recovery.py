@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
-from zoned_ledger.errors import AmbiguousRecoveryError, UnrecoverableError
+from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError,
+                                 UnrecoverableError)
 from zoned_ledger.ledger import ChainConfig, ChainState, share_field
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
@@ -91,6 +92,14 @@ def test_scan_limit_monotone():
         report = recover_block(state, t, scan_limit=limit)
         results.append(report.recovered)
     assert all(r == state.payloads[t] for r in results)
+
+
+def test_negative_scan_limit_is_a_configuration_error():
+    # unchecked, -1 turns the scan off: no slot scanned, no peer eliminated
+    state, rng = make_chain(n=24, m=4, blocks=4, seed=0)
+    rewrite_zone_block(state, 0, 0, bytes(32), rng)
+    with pytest.raises(ConfigurationError):
+        recover_block(state, 0, scan_limit=-1)
 
 
 def test_elimination_requires_a_failed_comparison():
