@@ -22,6 +22,10 @@ from .tree_cipher import CipherKey, corruption_oracle, sample_key
 from .zones import allocation_at, layout
 
 
+# Coins per availability draw: caps the array at 0.5 MB of float64 for any trials × n.
+_DRAW_BLOCK = 2**16
+
+
 @dataclass
 class TrialSummary:
     trials: int
@@ -35,6 +39,11 @@ class TrialSummary:
         """One-sigma binomial radius of the estimate."""
         p = self.estimate
         return math.sqrt(max(p * (1 - p), 1e-12) / self.trials)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigurationError(f"need trials >= 1, got {trials}")
 
 
 def _summary(trials, successes, bound, seed) -> TrialSummary:
@@ -53,6 +62,7 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> Tr
     """
     if m < 2:
         raise ConfigurationError("need m >= 2 for a corruption trial")
+    _check_trials(trials)
     f = prime_field(field_bits)
     q = f.modulus
     rng = random.Random(seed)
@@ -87,6 +97,7 @@ def zone_corruption_trial(m: int, c: int, trials: int, seed: int) -> TrialSummar
     """
     if not 1 <= c <= m:
         raise ConfigurationError("need 1 <= c <= m")
+    _check_trials(trials)
     rng = random.Random(seed)
     peers = list(range(m))
     successes = 0
@@ -137,6 +148,7 @@ def consistent_corruption_trial(n: int, m: int, per_zone_c, trials: int,
                                 seed: int) -> TrialSummary:
     """Joint success of independent zone corruptions, one per attacked zone."""
     layout(n, m)
+    _check_trials(trials)
     rng = random.Random(seed)
     peers = list(range(m))
     successes = 0
@@ -185,15 +197,24 @@ def availability_bounds(n: int, m: int, rho: float) -> tuple[float, float]:
 
 
 def availability_trial(n: int, m: int, rho: float, trials: int, seed: int) -> TrialSummary:
-    """Each peer inactive i.i.d. w.p. rho; success iff some zone fully active."""
+    """Each peer inactive i.i.d. w.p. rho; success iff some zone fully active.
+
+    The coins are drawn in blocks of about _DRAW_BLOCK values, so memory is
+    O(block), not O(trials × n). Generator.random fills doubles in stream
+    order, so the blocks draw the same values as one (trials, n) call.
+    """
     layout(n, m)
     if not 0 <= rho < 1:
         raise ConfigurationError("rho must be in [0, 1)")
+    _check_trials(trials)
     import numpy as np  # here, not at module top: it costs ~0.15 s and nothing else uses it
     gen = np.random.default_rng(seed)
-    active = gen.random((trials, n)) >= rho
-    ok = active.reshape(trials, n // m, m).all(axis=2).any(axis=1)
-    successes = int(ok.sum())
+    rows = max(1, _DRAW_BLOCK // n)
+    successes = 0
+    for start in range(0, trials, rows):
+        k = min(rows, trials - start)
+        active = gen.random((k, n)) >= rho
+        successes += int(active.reshape(k, n // m, m).all(axis=2).any(axis=1).sum())
     return _summary(trials, successes, availability_closed_form(n, m, rho), seed)
 
 

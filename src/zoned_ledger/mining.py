@@ -128,6 +128,8 @@ def mining_cost_law(p_bits: int, pprime_fraction: float, q_bits: int) -> float:
 def mining_trials(target: DifficultyTarget, nonce_bits: int, runs: int,
                   seed: int, prev_data: bytes = b"zoned-ledger-bench") -> dict:
     """Run independent mines and compare the mean tries to the cost law."""
+    if runs < 1:
+        raise ConfigurationError(f"need runs >= 1, got {runs}")
     rng = random.Random(seed)
     tries = [mine(prev_data, target, nonce_bits, rng).tries for _ in range(runs)]
     mean = statistics.fmean(tries)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -120,6 +121,47 @@ def test_availability_trial_matches_closed_form():
         p = availability_closed_form(n, m, rho)
         assert abs(s.estimate - p) <= 3.5 * math.sqrt(
             max(p * (1 - p), 1e-9) / s.trials)
+
+
+def one_shot_availability_successes(n, m, rho, trials, seed):
+    # the reference: all (trials, n) coins in one draw
+    import numpy as np
+    active = np.random.default_rng(seed).random((trials, n)) >= rho
+    return int(active.reshape(trials, n // m, m).all(axis=2).any(axis=1).sum())
+
+
+@pytest.mark.parametrize("n,m,trials", [(16, 4, 10_000), (64, 4, 2048), (24, 4, 1),
+                                        (2**16 + 4, 4, 3)],
+                         ids=["partial_last_block", "exact_multiple", "fewer_trials_than_rows",
+                              "one_row_per_block"])
+def test_availability_trial_matches_one_shot_draw(n, m, trials):
+    for seed, rho in [(1, 0.5), (7, 0.05)]:
+        s = availability_trial(n, m, rho, trials, seed)
+        assert s.successes == one_shot_availability_successes(n, m, rho, trials, seed)
+
+
+def test_availability_trial_memory_does_not_grow_with_trials():
+    import numpy.random  # noqa: F401  loaded before tracing: measure the draw, not the import
+    availability_trial(16, 4, 0.5, 10, seed=0)
+    tracemalloc.start()
+    try:
+        availability_trial(16, 4, 0.5, 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # a one-shot (10^6, 16) float64 draw alone is 128 MB
+
+
+@pytest.mark.parametrize("trial", [
+    lambda trials: hash_corruption_trial(4, 7, trials, 0),
+    lambda trials: zone_corruption_trial(6, 2, trials, 0),
+    lambda trials: consistent_corruption_trial(24, 4, [2, 2], trials, 0),
+    lambda trials: availability_trial(24, 4, 0.1, trials, 0),
+], ids=["hash", "zone", "consistent", "availability"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trials_below_one_is_a_configuration_error(trial, trials):
+    with pytest.raises(ConfigurationError, match="trials >= 1"):
+        trial(trials)
 
 
 def test_availability_bounds_bracket_truth():

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from zoned_ledger.cli import main
+from zoned_ledger.zones import allocation_count
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,32 @@ def test_negative_scan_limit_exits_2(capsys):
     assert stdout == "" and "--scan-limit" in stderr
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("availability", "--trials", "0"), "trials"),
+    (("availability", "--trials", "-3"), "trials"),
+    (("attack", "--trials", "0"), "trials"),
+    (("mining", "--trials", "0"), "runs"),
+    (("mining", "--nonce-bits", "-1"), "--nonce-bits"),
+    (("simulate", "--blocks", "-1"), "--blocks"),
+    (("attack", "--m", "0"), "--m"),
+], ids=["availability_trials_0", "availability_trials_negative", "attack_trials_0",
+        "mining_trials_0", "mining_nonce_bits_negative", "simulate_blocks_negative",
+        "attack_m_0"])
+def test_count_out_of_range_exits_2(capsys, argv, flag):
+    code, stdout, stderr = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert stdout == "" and stderr.startswith("error: ") and flag in stderr
+
+
+def test_coverage_count_beyond_the_int_to_str_digit_limit(capsys):
+    # n! / (4!)^(n/4) has 5188 digits at n = 2048, past str(int)'s 4300-digit limit
+    code, stdout, _ = run_cli(capsys, "coverage", "--n", "2048", "--m", "4", "--seed", "0")
+    assert code == 0
+    record = json.loads(stdout.splitlines()[0])
+    assert record["all_pairs_covered"] is True
+    assert Decimal(record["allocation_count"]) == allocation_count(2048, 4)
+
+
 NUMPY_PROBE = """
 import sys
 import zoned_ledger
@@ -185,6 +213,10 @@ def test_config_int_for_a_float_flag_gives_the_flag_bytes(capsys, tmp_path):
         run_cli(capsys, "availability", *flags)
 
 
+# the availability flags of the benchmark's sweeps workload, at its trial count
+SWEEPS_AVAILABILITY = ("availability", "--n", "16", "--m", "4", "--rho", "0.5",
+                       "--trials", "100000", "--seed", "1")
+
 PINNED_STDOUT = {
     ("attack", "--m", "4", "--trials", "500", "--seed", "1"):
         "6859d57b6313017871c3329934676000b57a697ed049f27c67ddea1444dfaabb",
@@ -198,11 +230,15 @@ PINNED_STDOUT = {
         "01ecea9018af1c52ea7f1254c7399fe586fa20dc76ce5d160d618708824bc9d9",
     ("simulate", "--n", "8", "--m", "4", "--blocks", "5", "--seed", "3"):
         "4b6c94f6c6d6d213c0ee78310be22be523607f598c674aee3a3f542f90e77002",
+    SWEEPS_AVAILABILITY:
+        "d7b164e760912d53d4bc24b2a6115e1a941cba07b266eeb942b358431329ce0e",
 }
 
 
-@pytest.mark.parametrize("argv,digest", [pytest.param(argv, digest, id=argv[0])
-                                         for argv, digest in PINNED_STDOUT.items()])
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param(argv, digest,
+                 id="availability-sweeps" if argv == SWEEPS_AVAILABILITY else argv[0])
+    for argv, digest in PINNED_STDOUT.items()])
 def test_output_bytes_pinned(capsys, argv, digest):
     # sha256 of stdout; a change here is a change to the reproducibility
     # contract (same flags and seed, same bytes) and must be deliberate

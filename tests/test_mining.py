@@ -131,6 +131,12 @@ def test_mean_tries_matches_law():
     assert abs(stats["mean_tries"] - stats["law"]) <= 3.5 * stats["sigma"]
 
 
+@pytest.mark.parametrize("runs", [0, -3])
+def test_runs_below_one_is_a_configuration_error(runs):
+    with pytest.raises(ConfigurationError, match="runs >= 1"):
+        mining_trials(DifficultyTarget(64, 2**-5), 32, runs, seed=0)
+
+
 def test_scheme_cost_comparison_shape():
     out = scheme_cost_comparison(n=8, m=4, p_bits=64, pprime_fraction=2**-5,
                                  runs=300, seed=2)
