@@ -10,7 +10,7 @@ reported with its trial count, seed, and 3-sigma binomial radius.
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import tree_cipher
@@ -26,13 +26,8 @@ from .zones import allocation_at, layout
 _DRAW_BLOCK = 2**16
 
 
-@dataclass
-class TrialSummary:
-    trials: int
-    successes: int
-    estimate: float
-    bound: float
-    seed: int
+class TrialSummary(namedtuple("TrialSummary", "trials successes estimate bound seed")):
+    __slots__ = ()
 
     @property
     def sigma(self) -> float:
@@ -236,14 +231,12 @@ def enumerate_keys(m: int):
                     yield CipherKey(tree, flips, assignment)
 
 
-@dataclass
-class ConfidentialityReport:
-    m: int
-    fragment_bits: int
-    leaked_peers: int
-    key_count: int
-    candidate_count: int | None
-    marginals: list[list[float]]  # per plaintext position, over fragment values
+class ConfidentialityReport(namedtuple(
+        "ConfidentialityReport",
+        "m fragment_bits leaked_peers key_count candidate_count marginals")):
+    """marginals[pos][v]: posterior probability that plaintext position pos holds v."""
+
+    __slots__ = ()
 
     def max_uniform_deviation(self, positions=None) -> float:
         uniform = 1.0 / (1 << self.fragment_bits)

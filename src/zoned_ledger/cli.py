@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import adversary, mining, zones
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MiningExhaustedError
 from .ledger import ChainConfig, ChainState, storage_cost_formula
 from .recovery import recover_block
 
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             raise ConfigurationError("--seed is required (reproducibility contract)")
         return args.fn(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MiningExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

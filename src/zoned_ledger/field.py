@@ -3,7 +3,8 @@
 Elements are plain Python ints reduced modulo the field prime; the
 ``Field`` object carries the modulus so values stay lightweight.
 Lagrange interpolation takes one modular inversion per call, however
-many points it is given.
+many points it is given. ``randbelow`` draws uniform ints from the same
+bits as ``random.Random.randrange``.
 """
 
 from functools import cache
@@ -35,6 +36,19 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """Uniform int in [0, n), n >= 1, from the bits random.Random.randrange(n) draws.
+
+    CPython's rejection loop (Random._randbelow_with_getrandbits), without
+    randrange's argument checks: redraw n.bit_length() bits until below n.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def next_prime(n: int) -> int:
@@ -76,7 +90,7 @@ class Field:
         return pow(a, -1, self.modulus)
 
     def rand(self, rng) -> int:
-        return rng.randrange(self.modulus)
+        return randbelow(rng.getrandbits, self.modulus)
 
     def eval_poly(self, coeffs, x: int) -> int:
         """Evaluate sum(coeffs[i] * x^i) by Horner's rule."""

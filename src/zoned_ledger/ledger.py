@@ -11,7 +11,7 @@ it.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import shamir, tree_cipher, zones
 from .errors import ConfigurationError, SlotError, SnapshotError, UnrepairableError
@@ -39,27 +39,28 @@ def hash_step(prev: int, payload: bytes, width: int = 64) -> int:
     return int.from_bytes(digest, "big") >> (256 - width)
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    n: int
-    m: int
-    block_bytes: int
-    hash_width: int = 64
-    seed: int = 0
+class ChainConfig(namedtuple("ChainConfig", "n m block_bytes hash_width seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        zones.layout(self.n, self.m)
-        if self.block_bytes <= 0 or self.block_bytes % self.m != 0:
+    def __new__(cls, n: int, m: int, block_bytes: int, hash_width: int = 64, seed: int = 0):
+        zones.layout(n, m)
+        if block_bytes <= 0 or block_bytes % m != 0:
             raise ConfigurationError(
-                f"block_bytes={self.block_bytes} must be a positive multiple of m={self.m}")
-        if not 8 <= self.hash_width <= 256:
+                f"block_bytes={block_bytes} must be a positive multiple of m={m}")
+        if not 8 <= hash_width <= 256:
             raise ConfigurationError("hash_width must be in [8, 256]")
+        return super().__new__(cls, n, m, block_bytes, hash_width, seed)
 
 
-@dataclass
 class PeerSlotRecord:
-    fragment: bytes
-    share: shamir.Share
+    def __init__(self, fragment: bytes, share: shamir.Share):
+        self.fragment = fragment
+        self.share = share
+
+    def __eq__(self, other):
+        if type(other) is not PeerSlotRecord:
+            return NotImplemented
+        return (self.fragment, self.share) == (other.fragment, other.share)
 
 
 class ChainState:

@@ -9,7 +9,7 @@ urn until the first blue ball: (total + 1) / (blue + 1).
 import hashlib
 import random
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
@@ -29,27 +29,22 @@ except ImportError:
         _fast_sha256 = hashlib.sha256
 
 
-@dataclass(frozen=True)
-class DifficultyTarget:
-    hash_width_bits: int
-    target_fraction: float
+class DifficultyTarget(namedtuple("DifficultyTarget", "hash_width_bits target_fraction")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.target_fraction <= 1:
+    def __new__(cls, hash_width_bits: int, target_fraction: float):
+        if not 0 < target_fraction <= 1:
             raise ConfigurationError("target_fraction must be in (0, 1]")
-        if not 8 <= self.hash_width_bits <= 256:
+        if not 8 <= hash_width_bits <= 256:
             raise ConfigurationError("hash_width_bits must be in [8, 256]")
+        return super().__new__(cls, hash_width_bits, target_fraction)
 
     @property
     def threshold(self) -> int:
         return round(Fraction(self.target_fraction) * (1 << self.hash_width_bits))
 
 
-@dataclass(frozen=True)
-class MiningResult:
-    nonce: int
-    hash: int
-    tries: int
+MiningResult = namedtuple("MiningResult", "nonce hash tries")
 
 
 def mining_hash(nonce: int, nonce_bits: int, prev_data: bytes, width: int) -> int:

@@ -13,19 +13,20 @@ zone candidates wins.
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import AmbiguousRecoveryError, ConfigurationError, SlotError, UnrecoverableError
 from .ledger import ChainState, hash_step
 
 
-@dataclass
 class RecoveryReport:
-    recovered: bytes | None
-    per_zone_candidates: dict[int, bytes | None]
-    eliminated_peers: set[int] = field(default_factory=set)
-    slots_scanned: int = 0
-    unanimous: bool = False
+    def __init__(self, recovered: bytes | None, per_zone_candidates: dict[int, bytes | None],
+                 eliminated_peers: set[int] | None = None, slots_scanned: int = 0,
+                 unanimous: bool = False):
+        self.recovered = recovered
+        self.per_zone_candidates = per_zone_candidates
+        self.eliminated_peers = set() if eliminated_peers is None else eliminated_peers
+        self.slots_scanned = slots_scanned
+        self.unanimous = unanimous
 
     def to_json(self) -> str:
         return json.dumps({

@@ -8,15 +8,12 @@ ledger shares each zone's serialized cipher key and previous hash this
 way, as one byte string.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ConfigurationError, InsufficientSharesError, KeyDecodeError
-from .field import Field, prime_field
+from .field import Field, prime_field, randbelow
 
-
-class Share(NamedTuple):
-    x: int
-    y: int
+Share = namedtuple("Share", "x y")
 
 
 def _sample_abscissas(field: Field, n: int, rng) -> list[int]:
@@ -31,7 +28,7 @@ def _sample_abscissas(field: Field, n: int, rng) -> list[int]:
     seen: set[int] = set()
     out = []
     while len(out) < n:
-        x = rng.randrange(1, field.modulus)
+        x = 1 + randbelow(rng.getrandbits, field.modulus - 1)
         if x not in seen:
             seen.add(x)
             out.append(x)

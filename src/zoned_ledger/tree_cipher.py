@@ -10,54 +10,59 @@ keys, in the fewest bytes that hold every index.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, reduce
 
 from .errors import ConfigurationError, KeyDecodeError
+from .field import randbelow
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(namedtuple("RootedTree", "parents root")):
     """parents[i] is the parent of node i; parents[root] == root."""
 
-    parents: tuple[int, ...]
-    root: int
+    __slots__ = ()
+
+    def __new__(cls, parents, root):
+        m = len(parents)
+        if not 0 <= root < m or parents[root] != root:
+            raise ValueError("root must be its own parent")
+        if min(parents) < 0 or max(parents) >= m:
+            raise ValueError("parent pointers must name nodes")
+        # walk[v] is the first walk up the parent pointers to pass v. A node an
+        # earlier walk passed reaches the root, so walk i stops there, or at a node
+        # it passed itself, which closes a cycle. Each node is walked once.
+        walk = [-1] * m
+        walk[root] = m
+        for i in range(m):
+            node = i
+            while walk[node] < 0:
+                walk[node] = i
+                node = parents[node]
+            if walk[node] == i:
+                raise ValueError("parent pointers contain a cycle")
+        return super().__new__(cls, parents, root)
 
     @property
     def m(self) -> int:
         return len(self.parents)
 
-    def __post_init__(self):
-        m = len(self.parents)
-        if not 0 <= self.root < m or self.parents[self.root] != self.root:
-            raise ValueError("root must be its own parent")
-        if min(self.parents) < 0 or max(self.parents) >= m:
-            raise ValueError("parent pointers must name nodes")
-        for i in range(m):
-            node, hops = i, 0
-            while node != self.root:
-                node = self.parents[node]
-                hops += 1
-                if hops > m:
-                    raise ValueError("parent pointers contain a cycle")
 
+class CipherKey(namedtuple("CipherKey", "tree flips assignment")):
+    """assignment[i] is the node whose codeword peer i holds."""
 
-@dataclass(frozen=True)
-class CipherKey:
-    tree: RootedTree
-    flips: tuple[int, ...]
-    assignment: tuple[int, ...]  # peer i holds the codeword of node assignment[i]
+    __slots__ = ()
+
+    def __new__(cls, tree: RootedTree, flips, assignment):
+        m = tree.m
+        if len(flips) != m or any(b not in (0, 1) for b in flips):
+            raise ValueError("flips must be m bits")
+        if sorted(assignment) != list(range(m)):
+            raise ValueError("assignment must be a permutation of [m]")
+        return super().__new__(cls, tree, flips, assignment)
 
     @property
     def m(self) -> int:
         return self.tree.m
-
-    def __post_init__(self):
-        m = self.tree.m
-        if len(self.flips) != m or any(b not in (0, 1) for b in self.flips):
-            raise ValueError("flips must be m bits")
-        if sorted(self.assignment) != list(range(m)):
-            raise ValueError("assignment must be a permutation of [m]")
 
 
 def _reroot(parents: list[int], node: int) -> None:
@@ -126,22 +131,27 @@ def prufer_sequence(tree: RootedTree) -> list[int]:
 
 
 def sample_tree(m: int, rng) -> RootedTree:
-    """Uniform over the m^(m-1) rooted labeled trees."""
+    """Uniform over the m^(m-1) rooted labeled trees: a root, then m-2 Prufer digits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    root = rng.randrange(m)
-    if m <= 2:
-        return tree_from_prufer([], m, root)
-    seq = [rng.randrange(m) for _ in range(m - 2)]
-    return tree_from_prufer(seq, m, root)
+    getrandbits = rng.getrandbits
+    root = randbelow(getrandbits, m)
+    return tree_from_prufer([randbelow(getrandbits, m) for _ in range(m - 2)], m, root)
 
 
 def sample_key(m: int, rng) -> CipherKey:
-    """Uniform key: tree, i.i.d. fair flip bits, uniform peer assignment."""
+    """Uniform key: tree, i.i.d. fair flip bits, uniform peer assignment.
+
+    The rng draws are those of m calls rng.randrange(2) and then
+    rng.shuffle(list(range(m))), bit for bit (see field.randbelow).
+    """
     tree = sample_tree(m, rng)
-    flips = tuple(rng.randrange(2) for _ in range(m))
+    getrandbits = rng.getrandbits
+    flips = tuple(randbelow(getrandbits, 2) for _ in range(m))
     assignment = list(range(m))
-    rng.shuffle(assignment)
+    for i in range(m - 1, 0, -1):
+        j = randbelow(getrandbits, i + 1)
+        assignment[i], assignment[j] = assignment[j], assignment[i]
     return CipherKey(tree, flips, tuple(assignment))
 
 

@@ -7,17 +7,15 @@ with period 2n' - 1 in which every group pair meets exactly once.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class GroupLayout:
+class GroupLayout(namedtuple("GroupLayout", "n m")):
     """Peers 0..n-1 in 2n/m consecutive groups of m/2, each built on demand."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
     @property
     def num_groups(self) -> int:

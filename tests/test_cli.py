@@ -145,6 +145,21 @@ def test_count_out_of_range_exits_2(capsys, argv, flag):
     assert stdout == "" and stderr.startswith("error: ") and flag in stderr
 
 
+@pytest.mark.parametrize("bits", ["0", "8", "11"])
+def test_exhausted_nonce_space_exits_2(capsys, bits):
+    # at the default fractions and --seed 1, these nonce spaces run dry; 2^12 does not
+    code, stdout, stderr = run_cli(capsys, "mining", "--nonce-bits", bits,
+                                   "--trials", "2", "--seed", "1")
+    assert code == 2
+    assert stdout == "" and stderr.startswith(f"error: no nonce in 2^{bits} met fraction ")
+
+
+def test_nonce_space_of_2_to_the_12_completes(capsys):
+    code, stdout, _ = run_cli(capsys, "mining", "--nonce-bits", "12", "--trials", "2",
+                              "--seed", "1")
+    assert code == 0 and stdout
+
+
 def test_coverage_count_beyond_the_int_to_str_digit_limit(capsys):
     # n! / (4!)^(n/4) has 5188 digits at n = 2048, past str(int)'s 4300-digit limit
     code, stdout, _ = run_cli(capsys, "coverage", "--n", "2048", "--m", "4", "--seed", "0")
@@ -168,11 +183,34 @@ assert "numpy" in sys.modules
 """
 
 
+IMPORT_PROBE = """
+import sys
+import zoned_ledger
+from zoned_ledger import adversary, cli, mining, recovery
+for argv in (["simulate", "--n", "8", "--m", "4", "--blocks", "3"],
+             ["attack", "--m", "4", "--trials", "50"], ["coverage", "--n", "8", "--m", "4"]):
+    assert cli.main(argv + ["--seed", "0"]) == 0, argv
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, f"{name} loaded"
+"""
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports the library from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
 def test_only_the_availability_trial_loads_numpy():
     # in a fresh interpreter: importing numpy costs ~0.15 s of every process
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
-                            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    result = run_fresh(NUMPY_PROBE)
+    assert result.returncode == 0, result.stderr
+
+
+def test_library_loads_neither_dataclasses_nor_inspect():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize: 8-10 ms of every process
+    result = run_fresh(IMPORT_PROBE)
     assert result.returncode == 0, result.stderr
 
 

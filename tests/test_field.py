@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoned_ledger.errors import ConfigurationError
-from zoned_ledger.field import Field, is_prime, next_prime
+from zoned_ledger.field import Field, is_prime, next_prime, randbelow
+from zoned_ledger.ledger import share_field
+
+SHARE_MODULI = [share_field(m, 64).modulus for m in (4, 8, 16)]  # 81, 113 and 193 bits
 
 
 def test_field_construction():
@@ -24,6 +27,16 @@ def test_next_prime():
     assert next_prime(2**16) == 65537
     assert next_prime(1) == 2
     assert is_prime(next_prime(2**64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 16]
+                         + SHARE_MODULI + [q - 1 for q in SHARE_MODULI])
+def test_randbelow_draws_what_randrange_draws(n):
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [randbelow(ours.getrandbits, n) for _ in range(20)] == \
+            [theirs.randrange(n) for _ in range(20)]
+        assert ours.random() == theirs.random()
 
 
 def test_interpolate_two_points():

@@ -202,6 +202,54 @@ def test_rooted_tree_rejects_bad_parents(parents, root):
         RootedTree(parents, root)
 
 
+def reference_is_rooted_tree(parents, root):
+    """The O(m * depth) check: every node's walk up reaches root within m hops."""
+    m = len(parents)
+    if not 0 <= root < m or parents[root] != root:
+        return False
+    if min(parents) < 0 or max(parents) >= m:
+        return False
+    for i in range(m):
+        node, hops = i, 0
+        while node != root:
+            node = parents[node]
+            hops += 1
+            if hops > m:
+                return False
+    return True
+
+
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(-1, m), min_size=m, max_size=m).map(tuple),
+    st.integers(-1, m))))
+def test_rooted_tree_accepts_what_the_reference_walk_accepts(case):
+    parents, root = case
+    try:
+        RootedTree(parents, root)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == reference_is_rooted_tree(parents, root)
+
+
+def reference_sample_key(m, rng):
+    """sample_key as randrange and shuffle draw it."""
+    root = rng.randrange(m)
+    seq = [rng.randrange(m) for _ in range(m - 2)]
+    flips = tuple(rng.randrange(2) for _ in range(m))
+    assignment = list(range(m))
+    rng.shuffle(assignment)
+    return CipherKey(tree_from_prufer(seq, m, root), flips, tuple(assignment))
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_sample_key_draws_what_randrange_and_shuffle_draw(m):
+    ours, theirs = random.Random(m), random.Random(m)
+    for _ in range(50):
+        assert sample_key(m, ours) == reference_sample_key(m, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
 def test_statistical_security_of_missing_fragment():
     # with 1-bit fragments on m=3, knowing the plaintext and all but one
     # codeword never pins the missing codeword beyond probability 1/2
