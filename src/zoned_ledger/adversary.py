@@ -4,7 +4,8 @@ Monte Carlo trials for hash-share corruption, zone corruption under the
 tree cipher, joint corruption across zones, exposure growth under the
 cyclic schedule, recovery availability under peer inactivity, and
 exhaustive confidentiality probes at tiny zone sizes. Every estimate is
-reported with its trial count, seed, and 3-sigma binomial radius.
+reported with its trial count, seed, and 3-sigma binomial radius. Only
+ChainState writes records: the ledger rewrites call its encode_zone and reshare_zone.
 """
 
 import itertools
@@ -306,7 +307,7 @@ def rewrite_zone_block(state: ChainState, t: int, z: int, payload: bytes, rng) -
     prev = state.zone_prev_hash(t, z)
     if prev is None:
         prev = state.hashes[t]
-    state._encode_zone(state.allocation(t)[z], payload, prev, rng, state.records[t])
+    state.encode_zone(t, z, payload, prev, rng)
 
 
 def rewrite_chain_suffix(state: ChainState, t: int, payload: bytes, rng) -> None:
@@ -319,13 +320,5 @@ def rewrite_chain_suffix(state: ChainState, t: int, payload: bytes, rng) -> None
     forged = hash_step(state.hashes[t], payload, cfg.hash_width)
     for tau in range(t + 1, state.num_blocks):
         for z in range(len(state.allocation(tau))):
-            recs = state.zone_records(tau, z)
-            if recs is None:
-                continue
-            try:
-                key_bytes, _ = state._zone_secret(recs)
-            except ValueError:
-                continue
-            for rec, share in zip(recs, state._share_secret(key_bytes, forged, rng)):
-                rec.share = share
+            state.reshare_zone(tau, z, forged, rng)
         forged = hash_step(forged, state.payloads[tau], cfg.hash_width)

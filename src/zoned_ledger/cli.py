@@ -22,8 +22,7 @@ JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _emit(records, summary_rows, out_path):
-    lines = [json.dumps(r, sort_keys=True) for r in sorted(
-        records, key=lambda r: json.dumps(r, sort_keys=True))]
+    lines = sorted(json.dumps(r, sort_keys=True) for r in records)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

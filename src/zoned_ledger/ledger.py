@@ -53,6 +53,7 @@ class ChainConfig(namedtuple("ChainConfig", "n m block_bytes hash_width seed")):
 
 
 class PeerSlotRecord:
+    # no __slots__: perfbench's hash-out-of-range probe sets an attribute on records
     def __init__(self, fragment: bytes, share: shamir.Share):
         self.fragment = fragment
         self.share = share
@@ -120,40 +121,54 @@ class ChainState:
         """peer_zones(t)[peer] is the index of peer's zone at slot t."""
         return self._slot_schedule(t)[1]
 
-    def _encode_zone(self, members, payload: bytes, prev_hash: int, rng,
-                     slot_records) -> None:
-        cfg = self.config
-        key = tree_cipher.sample_key(cfg.m, rng)
-        fragments = tree_cipher.encrypt(payload, key)
-        shares = self._share_secret(tree_cipher.serialize_key(key), prev_hash, rng)
-        for j, peer in enumerate(members):
-            slot_records[peer] = PeerSlotRecord(fragments[j], shares[j])
-
-    def _share_secret(self, key_bytes: bytes, prev_hash: int, rng) -> list[shamir.Share]:
-        """Shares of a zone's one secret: the key bytes, then prev_hash's bytes."""
-        cfg = self.config
-        secret = key_bytes + prev_hash.to_bytes(hash_nbytes(cfg.hash_width), "big")
-        return shamir.split_bytes(secret, cfg.m, cfg.m, rng)
-
-    def _zone_secret(self, recs) -> tuple[bytes, int]:
-        """(key bytes, previous hash) that a zone's records share; ValueError if unreadable."""
+    def _read_zone(self, t: int, z: int):
+        """(records, key bytes, previous hash) of zone z at slot t, or None if unreadable."""
+        recs = self.zone_records(t, z)
+        if recs is None:
+            return None
         m, key_nbytes = self.config.m, tree_cipher.key_nbytes(self.config.m)
-        secret = shamir.reconstruct_bytes([r.share for r in recs], m,
-                                          key_nbytes + hash_nbytes(self.config.hash_width))
-        return secret[:key_nbytes], int.from_bytes(secret[key_nbytes:], "big")
+        try:
+            secret = shamir.reconstruct_bytes([r.share for r in recs], m,
+                                              key_nbytes + hash_nbytes(self.config.hash_width))
+        except ValueError:
+            return None
+        return recs, secret[:key_nbytes], int.from_bytes(secret[key_nbytes:], "big")
+
+    def _store_zone(self, t: int, z: int, fragments, key_bytes: bytes, prev_hash: int,
+                    rng) -> None:
+        """Write zone z's records: its fragments, with shares of key_bytes ‖ prev_hash."""
+        members, nbytes = self._zone(t, z), hash_nbytes(self.config.hash_width)
+        if not 0 <= prev_hash < 256**nbytes:  # a forged hash >= 2^width may still fit
+            raise ConfigurationError(f"prev_hash {prev_hash} does not fit in {nbytes} bytes")
+        m = self.config.m
+        shares = shamir.split_bytes(key_bytes + prev_hash.to_bytes(nbytes, "big"), m, m, rng)
+        for peer, fragment, share in zip(members, fragments, shares):
+            self.records[t][peer] = PeerSlotRecord(fragment, share)
+
+    def encode_zone(self, t: int, z: int, payload: bytes, prev_hash: int, rng) -> None:
+        """Store payload as zone z's block t under a fresh key, chained to prev_hash."""
+        key = tree_cipher.sample_key(self.config.m, rng)
+        self._store_zone(t, z, tree_cipher.encrypt(payload, key),
+                         tree_cipher.serialize_key(key), prev_hash, rng)
+
+    def reshare_zone(self, t: int, z: int, prev_hash: int, rng) -> bool:
+        """Re-share zone z's own key with prev_hash; False, writing nothing, if unreadable."""
+        read = self._read_zone(t, z)
+        if read is not None:
+            recs, key_bytes, _ = read
+            self._store_zone(t, z, [r.fragment for r in recs], key_bytes, prev_hash, rng)
+        return read is not None
 
     def commit_block(self, payload: bytes, rng) -> None:
         if len(payload) != self.config.block_bytes:
             raise ValueError(
                 f"payload must be {self.config.block_bytes} bytes, got {len(payload)}")
         t = self.num_blocks
-        prev = self.hashes[t]
-        slot_records: dict[int, PeerSlotRecord] = {}
-        for members in self.allocation(t):
-            self._encode_zone(members, payload, prev, rng, slot_records)
         self.payloads.append(payload)
-        self.hashes.append(hash_step(prev, payload, self.config.hash_width))
-        self.records.append(slot_records)
+        self.hashes.append(hash_step(self.hashes[t], payload, self.config.hash_width))
+        self.records.append({})
+        for z in range(len(self.allocation(t))):
+            self.encode_zone(t, z, payload, self.hashes[t], rng)
 
     def erase_peer_record(self, t: int, peer: int) -> None:
         self._slot(t).pop(peer, None)
@@ -170,13 +185,10 @@ class ChainState:
         zones. A missing record, bad shares or a secret past its byte width give
         (None, None); a bad key index no block, a hash part >= 2^width no hash.
         """
-        recs = self.zone_records(t, z)
-        if recs is None:
+        read = self._read_zone(t, z)
+        if read is None:
             return None, None
-        try:
-            key_bytes, prev_hash = self._zone_secret(recs)
-        except ValueError:
-            return None, None
+        recs, key_bytes, prev_hash = read
         try:
             key = tree_cipher.deserialize_key(key_bytes, self.config.m)
             block = tree_cipher.decrypt([r.fragment for r in recs], key)
@@ -194,7 +206,7 @@ class ChainState:
 
     def repair_zone(self, t: int, z: int, rng) -> None:
         """Recode zone z at slot t with a fresh key, using a donor zone."""
-        members = self._zone(t, z)
+        self._zone(t, z)
         for donor in range(len(self.allocation(t))):
             if donor == z:
                 continue
@@ -203,7 +215,7 @@ class ChainState:
                 break
         else:
             raise UnrepairableError(f"no intact donor zone for slot {t}")
-        self._encode_zone(members, payload, prev_hash, rng, self.records[t])
+        self.encode_zone(t, z, payload, prev_hash, rng)
 
     def storage_cost_measured(self, peer: int, slot: int) -> float:
         """Bits actually stored by one peer for one slot."""

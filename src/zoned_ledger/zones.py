@@ -51,14 +51,10 @@ def allocation_at(lay: GroupLayout, t: int) -> list[tuple[int, ...]]:
     is a deterministic function of (n, m, t).
     """
     g = lay.num_groups
-    if g == 2:
-        pairs = [(0, 1)]
-    else:
-        r = t % (g - 1)
-        arr = [(i + r) % (g - 1) + 1 for i in range(g - 1)]
-        pairs = [(0, arr[0])]
-        for i in range(1, (g - 1) // 2 + 1):
-            pairs.append((arr[i], arr[g - 1 - i]))
+    arr = [(i + t) % (g - 1) + 1 for i in range(g - 1)]
+    pairs = [(0, arr[0])]
+    for i in range(1, (g - 1) // 2 + 1):
+        pairs.append((arr[i], arr[g - 1 - i]))
     zones = [tuple(sorted(lay.group(a) + lay.group(b))) for a, b in pairs]
     return sorted(zones, key=lambda z: z[0])
 

@@ -1,0 +1,91 @@
+"""ChainState is the only writer of zone records.
+
+Outside ledger.py no library module touches a private of ChainState (or
+of any name `state`) or assigns a record's share or fragment; inside it,
+new records are built only where zones are stored and snapshots loaded.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import zoned_ledger
+
+SRC = Path(zoned_ledger.__file__).parent
+RECORD_FIELDS = {"share", "fragment"}
+
+
+def _tree(name):
+    return ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+
+
+def _targets(node):
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        else:
+            yield target
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _chain_state_privates():
+    """Private methods and attributes of ChainState, as ledger.py defines them."""
+    cls = next(node for node in _tree("ledger.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "ChainState")
+    names = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)}
+    return {name for name in names if _is_private(name)}
+
+
+def layering_violations(tree, privates=frozenset(_chain_state_privates())):
+    """(line, text) for each access to a ChainState private, or to any private
+    attribute of a name `state`, and for each record-field write."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr) and (
+                node.attr in privates
+                or isinstance(node.value, ast.Name) and node.value.id == "state"):
+            found.append((node.lineno, ast.unparse(node)))
+        for target in _targets(node):
+            if isinstance(target, ast.Attribute) and target.attr in RECORD_FIELDS:
+                found.append((target.lineno, ast.unparse(target) + " = ..."))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py") if p.name != "ledger.py"))
+def test_no_module_reaches_into_chain_state_or_its_records(name):
+    assert layering_violations(_tree(name)) == []
+
+
+def test_records_are_built_only_where_zones_are_stored_or_snapshots_loaded():
+    builders = set()
+    for fn in ast.walk(_tree("ledger.py")):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "PeerSlotRecord"):
+                    builders.add(fn.name)
+    assert builders == {"_store_zone", "snapshot_load"}
+
+
+@pytest.mark.parametrize("source", [
+    "state._encode_zone(members, payload, prev, rng, state.records[t])",
+    "key_bytes, _ = chain._read_zone(t, z)",
+    "ChainState._store_zone(chain, t, z, fragments, key_bytes, prev_hash, rng)",
+    "rec.share = share",
+    "recs[0].fragment, x = b'', 1",
+    "rec.fragment += b'x'",
+])
+def test_the_check_catches_what_it_forbids(source):
+    assert layering_violations(ast.parse(source))

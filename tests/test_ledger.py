@@ -147,6 +147,10 @@ def test_repair_unrepairable_when_every_zone_hit():
     lambda s, rng: s.repair_zone(4, 0, rng),
     lambda s, rng: s.repair_zone(0, -1, rng),
     lambda s, rng: s.repair_zone(0, 6, rng),
+    lambda s, rng: s.encode_zone(4, 0, bytes(48), 0, rng),
+    lambda s, rng: s.encode_zone(0, 6, bytes(48), 0, rng),
+    lambda s, rng: s.reshare_zone(-1, 0, 0, rng),
+    lambda s, rng: s.reshare_zone(0, 6, 0, rng),
     lambda s, rng: s.erase_peer_record(-1, 0),
     lambda s, rng: s.erase_peer_record(4, 0),
     lambda s, rng: s.storage_cost_measured(0, -1),
@@ -155,7 +159,8 @@ def test_repair_unrepairable_when_every_zone_hit():
     lambda s, rng: recover_block(s, 4),
 ], ids=["records_t_neg", "records_z_past", "decode_t_neg", "decode_t_past", "decode_z_neg",
         "candidate_t_past", "prev_hash_z_past", "repair_t_neg", "repair_t_past",
-        "repair_z_neg", "repair_z_past", "erase_t_neg", "erase_t_past", "cost_t_neg",
+        "repair_z_neg", "repair_z_past", "encode_t_past", "encode_z_past",
+        "reshare_t_neg", "reshare_z_past", "erase_t_neg", "erase_t_past", "cost_t_neg",
         "cost_t_past", "recover_t_neg", "recover_t_past"])
 def test_slot_or_zone_out_of_range_raises_slot_error(call):
     state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=4, seed=0)
@@ -165,6 +170,20 @@ def test_slot_or_zone_out_of_range_raises_slot_error(call):
         for z in range(len(state.allocation(t))):
             assert state.zone_decode(t, z) == (state.payloads[t], state.hashes[t])
         assert len(state.records[t]) == 24
+
+
+@pytest.mark.parametrize("width,prev_hash", [(64, -1), (64, 2**64), (60, 2**64)])
+@pytest.mark.parametrize("write", ["encode", "reshare"])
+def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash, write):
+    # 2^60 + 1 fits the 8 bytes of a 60-bit hash and may be stored; 2^64 does not
+    state, rng = make_chain(n=8, m=4, blocks=2, hash_width=width)
+    before = [dict(slot) for slot in state.records]
+    with pytest.raises(ConfigurationError):
+        if write == "encode":
+            state.encode_zone(1, 0, bytes(16), prev_hash, rng)
+        else:
+            state.reshare_zone(1, 0, prev_hash, rng)
+    assert state.records == before
 
 
 @pytest.mark.parametrize("n", [2**16, 2**40])

@@ -9,8 +9,7 @@ from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError,
 from zoned_ledger.ledger import ChainConfig, ChainState, share_field
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
-from zoned_ledger.shamir import Share, reconstruct_bytes, split, split_bytes
-from zoned_ledger.tree_cipher import key_nbytes
+from zoned_ledger.shamir import Share, split
 
 
 def make_chain(n=24, m=4, block_bytes=32, blocks=8, seed=0, hash_width=64):
@@ -66,6 +65,47 @@ def test_full_consistent_corruption_wins():
     assert report.unanimous  # indistinguishable from an honest chain
 
 
+def test_tie_between_two_zones_at_the_newest_slot_is_ambiguous():
+    # the newest slot has no later slot to audit it, so 4 peers vote each way
+    state, rng = make_chain(n=8, m=4, block_bytes=16, blocks=3, seed=0)
+    rewrite_zone_block(state, 2, 1, bytes(16), rng)
+    with pytest.raises(AmbiguousRecoveryError):
+        recover_block(state, 2)
+
+
+def test_two_different_rewrites_eliminate_every_peer():
+    # both zones keep the true H_{-1}, so neither forged block chains to H_0
+    state, rng = make_chain(n=8, m=4, block_bytes=16, blocks=3, seed=0)
+    rewrite_zone_block(state, 0, 0, b"\x01" * 16, rng)
+    rewrite_zone_block(state, 0, 1, b"\x02" * 16, rng)
+    with pytest.raises(UnrecoverableError, match="eliminated"):
+        recover_block(state, 0)
+
+
+def test_chain_suffix_rewrite_leaves_unreadable_zones_untouched():
+    # at slot 2, zone 0 has lost a record and zone 1 shares a secret past its
+    # byte width; the rewrite re-shares zones 2 and 3 and neither of those
+    state, rng = make_chain(n=16, m=4, blocks=4, seed=6)
+    state.erase_peer_record(2, state.allocation(2)[0][0])
+    gf = share_field(4, 64)
+    for rec, share in zip(state.zone_records(2, 1), split(gf, gf.modulus - 1, 4, 4, rng)):
+        rec.share = share
+
+    def stored(z):
+        return [None if r is None else (r.fragment, r.share)
+                for r in map(state.records[2].get, state.allocation(2)[z])]
+
+    before = [stored(z) for z in range(4)]
+    rewrite_chain_suffix(state, 1, bytes(32), rng)
+    assert [stored(z) for z in (0, 1)] == before[:2]
+    for z in (2, 3):
+        assert [f for f, _ in stored(z)] == [f for f, _ in before[z]]
+        assert all(new != old for (_, new), (_, old) in zip(stored(z), before[z]))
+    assert not state.reshare_zone(2, 0, 0, rng)
+    assert not state.reshare_zone(2, 1, 0, rng)
+    assert [stored(z) for z in (0, 1)] == before[:2]
+
+
 def test_erased_zone_contributes_no_candidate():
     state, _ = make_chain(n=8, m=4, blocks=3, seed=1)
     for peer in state.allocation(1)[0]:
@@ -117,16 +157,10 @@ def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
     # peers are eliminated at slot 0: by the hash comparison, or for
     # decoding a block with no valid H_{-1}.
     state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=17, hash_width=60)
-    cfg = state.config
     forged = bytes(b ^ 0xFF for b in state.payloads[0])
 
     def plant():
-        recs = state.zone_records(0, 0)
-        nkey = key_nbytes(cfg.m)
-        key_bytes = reconstruct_bytes([r.share for r in recs], cfg.m, nkey + 8)[:nkey]
-        shares = split_bytes(key_bytes + (2**60 + 1).to_bytes(8, "big"), cfg.m, cfg.m, rng)
-        for rec, share in zip(recs, shares):
-            rec.share = share
+        assert state.reshare_zone(0, 0, 2**60 + 1, rng)
 
     if plant_first:
         plant()
