@@ -315,10 +315,10 @@ def rewrite_chain_suffix(state: ChainState, t: int, payload: bytes, rng) -> None
     and every later zone that can be read re-shares its own key with the
     matching forged hash."""
     cfg = state.config
-    for z in range(len(state.allocation(t))):
+    for z in range(cfg.n // cfg.m):
         rewrite_zone_block(state, t, z, payload, rng)
     forged = hash_step(state.hashes[t], payload, cfg.hash_width)
     for tau in range(t + 1, state.num_blocks):
-        for z in range(len(state.allocation(tau))):
+        for z in range(cfg.n // cfg.m):
             state.reshare_zone(tau, z, forged, rng)
         forged = hash_step(forged, state.payloads[tau], cfg.hash_width)

@@ -11,11 +11,13 @@ from functools import cache
 
 from .errors import ConfigurationError
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
+# Miller-Rabin bases that prove primality only below 3.3 * 10^24 (about 2^81), which
+# covers hash_field(64) and the m = 4 share field; above it they give a probable prime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
+    """Exact for n < 3.3 * 10^24; above that, a strong probable-prime test to 12 bases."""
     if n < 2:
         return False
     for p in _MR_BASES:

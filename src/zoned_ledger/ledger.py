@@ -67,9 +67,7 @@ class PeerSlotRecord:
 class ChainState:
     """One simulated network: ground truth plus per-peer slot records.
 
-    The zone schedule repeats every ``layout.period`` slots, so each
-    slot's zones and its peer -> zone array are built once per residue
-    t % period, on first use, and kept in the instance.
+    Zone membership is not stored: ``zones.zone_groups`` gives it in O(1).
     """
 
     def __init__(self, config: ChainConfig):
@@ -80,24 +78,10 @@ class ChainState:
         # so block t is chained to hashes[t], the value its zones share
         self.hashes: list[int] = [GENESIS_HASH]
         self.records: list[dict[int, PeerSlotRecord]] = []
-        # residue t % period -> (zones of slot t, zone index of each peer)
-        self._schedule: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
     @property
     def num_blocks(self) -> int:
         return len(self.payloads)
-
-    def _slot_schedule(self, t: int):
-        r = t % self.layout.period
-        entry = self._schedule.get(r)
-        if entry is None:
-            alloc = tuple(zones.allocation_at(self.layout, r))
-            peer_zone = [0] * self.config.n
-            for z, members in enumerate(alloc):
-                for peer in members:
-                    peer_zone[peer] = z
-            entry = self._schedule[r] = (alloc, tuple(peer_zone))
-        return entry
 
     def _slot(self, t: int) -> dict[int, PeerSlotRecord]:
         """The records of committed slot t; SlotError for any other t."""
@@ -108,18 +92,15 @@ class ChainState:
     def _zone(self, t: int, z: int) -> tuple[int, ...]:
         """The peers of zone z at committed slot t; SlotError for any other (t, z)."""
         self._slot(t)
-        alloc = self.allocation(t)
-        if not 0 <= z < len(alloc):
-            raise SlotError(f"zone {z} is not in range({len(alloc)}) at slot {t}")
-        return alloc[z]
+        n_zones = self.config.n // self.config.m
+        if not 0 <= z < n_zones:
+            raise SlotError(f"zone {z} is not in range({n_zones}) at slot {t}")
+        a, b = zones.zone_groups(self.layout, t, z)
+        return self.layout.group(a) + self.layout.group(b)
 
-    def allocation(self, t: int) -> tuple[tuple[int, ...], ...]:
-        """Zones of slot t, each a sorted tuple of peers, as zones.allocation_at gives."""
-        return self._slot_schedule(t)[0]
-
-    def peer_zones(self, t: int) -> tuple[int, ...]:
-        """peer_zones(t)[peer] is the index of peer's zone at slot t."""
-        return self._slot_schedule(t)[1]
+    def allocation(self, t: int) -> list[tuple[int, ...]]:
+        """Zones of slot t, each a sorted tuple of peers: zones.allocation_at."""
+        return zones.allocation_at(self.layout, t)
 
     def _read_zone(self, t: int, z: int):
         """(records, key bytes, previous hash) of zone z at slot t, or None if unreadable."""
@@ -145,8 +126,13 @@ class ChainState:
         for peer, fragment, share in zip(members, fragments, shares):
             self.records[t][peer] = PeerSlotRecord(fragment, share)
 
+    def _check_payload(self, payload: bytes) -> None:
+        if len(payload) != (size := self.config.block_bytes):
+            raise ValueError(f"payload must be {size} bytes, got {len(payload)}")
+
     def encode_zone(self, t: int, z: int, payload: bytes, prev_hash: int, rng) -> None:
         """Store payload as zone z's block t under a fresh key, chained to prev_hash."""
+        self._check_payload(payload)
         key = tree_cipher.sample_key(self.config.m, rng)
         self._store_zone(t, z, tree_cipher.encrypt(payload, key),
                          tree_cipher.serialize_key(key), prev_hash, rng)
@@ -160,14 +146,12 @@ class ChainState:
         return read is not None
 
     def commit_block(self, payload: bytes, rng) -> None:
-        if len(payload) != self.config.block_bytes:
-            raise ValueError(
-                f"payload must be {self.config.block_bytes} bytes, got {len(payload)}")
+        self._check_payload(payload)  # before the slot is appended
         t = self.num_blocks
         self.payloads.append(payload)
         self.hashes.append(hash_step(self.hashes[t], payload, self.config.hash_width))
         self.records.append({})
-        for z in range(len(self.allocation(t))):
+        for z in range(self.config.n // self.config.m):
             self.encode_zone(t, z, payload, self.hashes[t], rng)
 
     def erase_peer_record(self, t: int, peer: int) -> None:
@@ -207,7 +191,7 @@ class ChainState:
     def repair_zone(self, t: int, z: int, rng) -> None:
         """Recode zone z at slot t with a fresh key, using a donor zone."""
         self._zone(t, z)
-        for donor in range(len(self.allocation(t))):
+        for donor in range(self.config.n // self.config.m):
             if donor == z:
                 continue
             payload, prev_hash = self.zone_decode(t, donor)

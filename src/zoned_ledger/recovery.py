@@ -3,12 +3,12 @@
 Every zone decodes its stored copy of the requested block, together
 with the previous hash it shares, in one decode. If the candidates
 disagree, the chain suffix is scanned, each (slot, zone) decoded at most
-once: for each surviving peer, the hash recomputed from its slot-tau
-zone's block and previous hash is compared against the hash value
-shared by the peer's slot-(tau+1) zone; peers on the mismatching
-side are eliminated, as are the peers of a zone that decodes its block
-but shares no valid previous hash. The majority among surviving peers'
-zone candidates wins.
+once. The scan decides per group of m/2 peers, which share every zone:
+for each surviving group, the hash recomputed from its slot-tau zone's
+block and previous hash is compared against the hash its slot-(tau+1)
+zone shares; mismatching groups are eliminated, as are the groups of a
+zone that decodes its block but shares no valid previous hash. The
+majority among surviving peers' zone candidates wins.
 """
 
 import json
@@ -16,6 +16,7 @@ from collections import Counter
 
 from .errors import AmbiguousRecoveryError, ConfigurationError, SlotError, UnrecoverableError
 from .ledger import ChainState, hash_step
+from .zones import zone_of_group
 
 
 class RecoveryReport:
@@ -47,9 +48,9 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
         raise SlotError(f"slot {t} not committed")
     if scan_limit is not None and scan_limit < 0:
         raise ConfigurationError(f"scan_limit must be None or >= 0, got {scan_limit}")
-    cfg = state.config
-    n_zones = len(state.allocation(t))
-    zones_t = state.peer_zones(t)
+    cfg, lay = state.config, state.layout
+    n_zones = cfg.n // cfg.m
+    zones_t = zones_tau = {g: zone_of_group(lay, t, g) for g in range(lay.num_groups)}
     decoded = [state.zone_decode(t, z) for z in range(n_zones)]  # (block, H_{t-1})
     candidates = {z: block for z, (block, _) in enumerate(decoded)}
     report = RecoveryReport(recovered=None, per_zone_candidates=candidates)
@@ -57,14 +58,13 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
         raise UnrecoverableError(f"no zone can decode slot {t}")
 
     distinct = {c for c in candidates.values() if c is not None}
-    active = set(range(cfg.n))
+    active = set(zones_t)
     if len(distinct) > 1:
         last_tau = state.num_blocks - 2
         if scan_limit is not None:
             last_tau = min(last_tau, t + scan_limit)
         for tau in range(t, last_tau + 1):
-            zones_tau = state.peer_zones(tau)
-            zones_next = state.peer_zones(tau + 1)
+            zones_next = {g: zone_of_group(lay, tau + 1, g) for g in active}
             following = [state.zone_decode(tau + 1, z) for z in range(n_zones)]
             recomputed = {
                 z: hash_step(prev, block, cfg.hash_width)
@@ -72,27 +72,27 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
                 if block is not None and prev is not None
             }
             dropped = set()
-            for peer in active:
-                z = zones_tau[peer]
+            for g in active:
+                z = zones_tau[g]
                 block, prev = decoded[z]
                 if block is not None and prev is None:
-                    dropped.add(peer)  # decodes a block, but no H_{tau-1} to chain it to
+                    dropped.add(g)  # decodes a block, but no H_{tau-1} to chain it to
                     continue
-                next_hash = following[zones_next[peer]][1]  # H_tau as slot tau + 1 shares it
+                next_hash = following[zones_next[g]][1]  # H_tau as slot tau + 1 shares it
                 if z in recomputed and next_hash is not None and recomputed[z] != next_hash:
-                    dropped.add(peer)
+                    dropped.add(g)
             active -= dropped
-            report.eliminated_peers |= dropped
+            report.eliminated_peers.update(p for g in dropped for p in lay.group(g))
             report.slots_scanned += 1
-            decoded = following
-            if len({candidates[zones_t[peer]] for peer in active} - {None}) <= 1:
+            decoded, zones_tau = following, zones_next
+            if len({candidates[zones_t[g]] for g in active} - {None}) <= 1:
                 break
 
     votes = Counter()
-    for peer in active:
-        c = candidates[zones_t[peer]]
+    for g in active:
+        c = candidates[zones_t[g]]
         if c is not None:
-            votes[c] += 1
+            votes[c] += cfg.m // 2
     if not votes:
         raise UnrecoverableError(f"all candidate zones for slot {t} were eliminated")
     ranked = votes.most_common()

@@ -3,7 +3,11 @@
 Peers fall into 2n' consecutive groups of m/2 (n' = n/m). Each slot pairs
 the groups with one perfect matching of the complete graph on group
 vertices: group 0 stays fixed, the others rotate, giving a schedule
-with period 2n' - 1 in which every group pair meets exactly once.
+with period P = 2n' - 1 in which every group pair meets exactly once.
+At slot t, group x >= 1 sits at position (x - 1 - t) mod P; zone 0 pairs
+group 0 (so peer 0) with the group at position 0, and zone z >= 1 pairs
+the groups at positions z and P - z. ``zone_groups`` and its inverse
+``zone_of_group`` compute this in O(1).
 """
 
 import math
@@ -23,7 +27,7 @@ class GroupLayout(namedtuple("GroupLayout", "n m")):
 
     @property
     def period(self) -> int:
-        return self.num_groups - 1
+        return 2 * self.n // self.m - 1
 
     def group(self, g: int) -> tuple[int, ...]:
         half = self.m // 2
@@ -44,19 +48,29 @@ def layout(n: int, m: int) -> GroupLayout:
     return GroupLayout(n, m)
 
 
+def zone_groups(lay: GroupLayout, t: int, z: int) -> tuple[int, int]:
+    """The two groups (a, b), a < b, that form zone z at slot t."""
+    p = lay.period
+    if z == 0:
+        return 0, t % p + 1
+    a, b = (t + z) % p + 1, (t - z) % p + 1
+    return (a, b) if a < b else (b, a)
+
+
+def zone_of_group(lay: GroupLayout, t: int, g: int) -> int:
+    """The zone that group g belongs to at slot t; inverts zone_groups."""
+    pos = (g - 1 - t) % lay.period
+    return min(pos, lay.period - pos) if g else 0
+
+
 def allocation_at(lay: GroupLayout, t: int) -> list[tuple[int, ...]]:
     """Zones for slot t: each zone is a sorted tuple of m peer indices.
 
-    Zones are listed in order of their smallest peer, so the allocation
-    is a deterministic function of (n, m, t).
+    Zone z holds the groups zone_groups(lay, t, z): zone 0 holds group 0,
+    so peer 0, and zone z >= 1 the groups at positions z and P - z.
     """
-    g = lay.num_groups
-    arr = [(i + t) % (g - 1) + 1 for i in range(g - 1)]
-    pairs = [(0, arr[0])]
-    for i in range(1, (g - 1) // 2 + 1):
-        pairs.append((arr[i], arr[g - 1 - i]))
-    zones = [tuple(sorted(lay.group(a) + lay.group(b))) for a, b in pairs]
-    return sorted(zones, key=lambda z: z[0])
+    pairs = (zone_groups(lay, t, z) for z in range(lay.n // lay.m))
+    return [lay.group(a) + lay.group(b) for a, b in pairs]
 
 
 def zone_of(zones, peer: int) -> int:

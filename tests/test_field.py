@@ -23,6 +23,32 @@ def test_composite_or_small_modulus_rejected(bad):
         Field(bad)
 
 
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round of odd n > 3 to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k,gap", [(96, 61), (112, 25), (176, 427), (192, 133)])
+def test_next_prime_above_the_proven_range(k, gap):
+    # above 3.3 * 10^24 the 12 fixed bases give only a probable prime, so pin the
+    # result and back it with 64 more rounds on random bases; each odd number in
+    # the gap failed some round, which proves it composite
+    p = next_prime(2**k)
+    assert p - 2**k == gap
+    rng = random.Random(0)
+    assert all(strong_probable_prime(p, rng.randrange(2, p - 1)) for _ in range(64))
+
+
 def test_next_prime():
     assert next_prime(2**16) == 65537
     assert next_prime(1) == 2

@@ -6,7 +6,7 @@ import pytest
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
 from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError,
                                  UnrecoverableError)
-from zoned_ledger.ledger import ChainConfig, ChainState, share_field
+from zoned_ledger.ledger import ChainConfig, ChainState, hash_step, share_field
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
 from zoned_ledger.shamir import Share, split
@@ -229,6 +229,66 @@ def test_recover_block_decodes_each_zone_once(monkeypatch):
     assert sorted(calls) == [("zone_decode", tau, z) for tau in range(t, state.num_blocks)
                              for z in range(len(state.allocation(t)))]
     assert set(calls.values()) == {1}
+
+
+def reference_recovery(state, t):
+    """The scan peer by peer: (recovered block or error type, eliminated peers, slots scanned)."""
+    cfg = state.config
+    n_zones = cfg.n // cfg.m
+
+    def zone_of_peer(tau):
+        return {p: z for z, members in enumerate(state.allocation(tau)) for p in members}
+
+    decoded = [state.zone_decode(t, z) for z in range(n_zones)]
+    candidates = [block for block, _ in decoded]
+    zones_t = zone_of_peer(t)
+    active, eliminated, scanned = set(range(cfg.n)), set(), 0
+    if len(set(candidates) - {None}) > 1:
+        for tau in range(t, state.num_blocks - 1):
+            zones_tau, zones_next = zone_of_peer(tau), zone_of_peer(tau + 1)
+            following = [state.zone_decode(tau + 1, z) for z in range(n_zones)]
+            dropped = set()
+            for peer in active:
+                block, prev = decoded[zones_tau[peer]]
+                next_hash = following[zones_next[peer]][1]
+                if block is not None and (prev is None or next_hash is not None and
+                                          hash_step(prev, block, cfg.hash_width) != next_hash):
+                    dropped.add(peer)
+            active, eliminated, scanned = active - dropped, eliminated | dropped, scanned + 1
+            decoded = following
+            if len({candidates[zones_t[p]] for p in active} - {None}) <= 1:
+                break
+    votes = Counter(candidates[zones_t[p]] for p in active) - Counter({None: len(active)})
+    ranked = votes.most_common()
+    if not ranked or set(candidates) == {None}:
+        return UnrecoverableError, eliminated, scanned
+    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+        return AmbiguousRecoveryError, eliminated, scanned
+    return ranked[0][0], eliminated, scanned
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_group_scan_matches_the_peer_by_peer_scan(seed):
+    rng = random.Random(seed)
+    n, m = rng.choice([(24, 4), (24, 6), (32, 8), (12, 2)])
+    state, rng = make_chain(n=n, m=m, block_bytes=2 * m, blocks=6, seed=seed)
+    forgeries = [bytes(2 * m), b"\x01" * 2 * m]
+    for _ in range(rng.randrange(2, 8)):
+        t = rng.randrange(state.num_blocks)
+        rewrite_zone_block(state, t, rng.randrange(n // m), rng.choice(forgeries), rng)
+    if rng.random() < 0.3:
+        rewrite_chain_suffix(state, rng.randrange(state.num_blocks), forgeries[0], rng)
+    for _ in range(rng.randrange(8)):
+        state.erase_peer_record(rng.randrange(state.num_blocks), rng.randrange(n))
+    for t in range(state.num_blocks):
+        recovered, eliminated, scanned = reference_recovery(state, t)
+        if isinstance(recovered, type):
+            with pytest.raises(recovered):
+                recover_block(state, t)
+            continue
+        report = recover_block(state, t)
+        assert (report.recovered, report.eliminated_peers, report.slots_scanned) == (
+            recovered, eliminated, scanned)
 
 
 def test_report_json_round_trippable():

@@ -4,14 +4,46 @@ import math
 import pytest
 
 from zoned_ledger.errors import ConfigurationError
+from zoned_ledger.ledger import ChainConfig, ChainState
 from zoned_ledger.zones import (allocation_at, allocation_count,
-                                coverage_slots, layout, zone_of)
+                                coverage_slots, layout, zone_groups,
+                                zone_of, zone_of_group)
 
 
-def valid_configs(max_n=48):
-    for m in (2, 4, 6, 8):
+def valid_configs(max_n=48, sizes=(2, 4, 6, 8)):
+    for m in sizes:
         for n in range(m, max_n + 1, m):
             yield n, m
+
+
+def reference_allocation(lay, t):
+    """The circle method written out: rotate the groups, pair them, sort by smallest peer."""
+    g = lay.num_groups
+    arr = [(i + t) % (g - 1) + 1 for i in range(g - 1)]
+    pairs = [(0, arr[0])]
+    for i in range(1, (g - 1) // 2 + 1):
+        pairs.append((arr[i], arr[g - 1 - i]))
+    zones = [tuple(sorted(lay.group(a) + lay.group(b))) for a, b in pairs]
+    return sorted(zones, key=lambda z: z[0])
+
+
+@pytest.mark.parametrize("n,m", list(valid_configs(96, range(2, 97, 2))))
+def test_closed_form_schedule_matches_circle_method(n, m):
+    lay = layout(n, m)
+    state = ChainState(ChainConfig(n=n, m=m, block_bytes=m))
+    for t in range(2 * lay.period):
+        zones = allocation_at(lay, t)
+        reference = reference_allocation(lay, t)
+        assert sorted(zones) == reference
+        assert zones[0] == reference[0]  # zone 0 holds peer 0, as before
+        assert state.allocation(t) == zones
+        for z in range(n // m):
+            a, b = zone_groups(lay, t, z)
+            assert a < b
+            assert zone_of_group(lay, t, a) == zone_of_group(lay, t, b) == z
+            assert zones[z] == lay.group(a) + lay.group(b)
+        for peer in range(n):
+            assert zone_of(zones, peer) == zone_of_group(lay, t, peer // (m // 2))
 
 
 def test_layout_consecutive_groups():
