@@ -18,7 +18,7 @@ class SnapshotError(ValueError):
 
 
 class SlotError(IndexError):
-    """A slot index outside the committed blocks, or a zone index outside the slot's zones."""
+    """A slot outside the committed blocks, or a zone or peer index outside its range."""
 
 
 class UnrecoverableError(RuntimeError):

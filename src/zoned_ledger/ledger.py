@@ -3,9 +3,10 @@
 Each committed block is, per zone, encrypted under a fresh tree-cipher
 key; the fragments go one per peer, and one byte string, the serialized
 key followed by the previous hash value, is (m, m) secret shared across
-the zone, so a zone decode is one interpolation. The simulator also
-keeps the plain ground truth so experiments can check recovery against
-it.
+the zone, so a zone decode is one interpolation. Recovery and repair
+read zones through ``ChainState.cached_decode``, which decodes a zone
+again only when its records have changed. The simulator also keeps the
+plain ground truth so experiments can check recovery against it.
 """
 
 import hashlib
@@ -78,6 +79,8 @@ class ChainState:
         # so block t is chained to hashes[t], the value its zones share
         self.hashes: list[int] = [GENESIS_HASH]
         self.records: list[dict[int, PeerSlotRecord]] = []
+        # (t, z) -> (the zone's fragments and shares as decoded, block, H_{t-1})
+        self._decoded: dict[tuple[int, int], tuple] = {}
 
     @property
     def num_blocks(self) -> int:
@@ -125,6 +128,7 @@ class ChainState:
         shares = shamir.split_bytes(key_bytes + prev_hash.to_bytes(nbytes, "big"), m, m, rng)
         for peer, fragment, share in zip(members, fragments, shares):
             self.records[t][peer] = PeerSlotRecord(fragment, share)
+        self._decoded.pop((t, z), None)  # keep no replaced record alive
 
     def _check_payload(self, payload: bytes) -> None:
         if len(payload) != (size := self.config.block_bytes):
@@ -156,6 +160,8 @@ class ChainState:
 
     def erase_peer_record(self, t: int, peer: int) -> None:
         self._slot(t).pop(peer, None)
+        group = peer // (self.config.m // 2)
+        self._decoded.pop((t, zones.zone_of_group(self.layout, t, group)), None)
 
     def zone_records(self, t: int, z: int) -> list[PeerSlotRecord] | None:
         """Records of zone z at slot t in peer order, or None if any is missing."""
@@ -180,6 +186,29 @@ class ChainState:
             block = None
         return block, None if prev_hash >> self.config.hash_width else prev_hash
 
+    def cached_decode(self, t: int, z: int) -> tuple[bytes | None, int | None]:
+        """zone_decode(t, z), decoded again only when the zone's records have changed.
+
+        The memo keeps one entry per (t, z): the fragments and shares the zone
+        was decoded from, then the result. A hit needs the current ones to
+        compare equal, so every write is seen, an in-place share assignment
+        included.
+        """
+        # a list first: a tuple grown from a generator left the heap more fragmented
+        content = tuple([x for r in map(self._slot(t).get, self._zone(t, z))
+                         for x in ((None,) if r is None else (r.fragment, r.share))])
+        entry = self._decoded.get((t, z))
+        if entry is not None and entry[0] == content:
+            return entry[1:]
+        block, prev_hash = self.zone_decode(t, z)
+        # held as the ground truth's objects, an honest block and hash take no memory
+        if block == self.payloads[t]:
+            block = self.payloads[t]
+        if prev_hash == self.hashes[t]:
+            prev_hash = self.hashes[t]
+        self._decoded[t, z] = content, block, prev_hash
+        return block, prev_hash
+
     def zone_candidate(self, t: int, z: int) -> bytes | None:
         """Zone z's decrypted copy of block t, or None; see zone_decode."""
         return self.zone_decode(t, z)[0]
@@ -194,7 +223,7 @@ class ChainState:
         for donor in range(self.config.n // self.config.m):
             if donor == z:
                 continue
-            payload, prev_hash = self.zone_decode(t, donor)
+            payload, prev_hash = self.cached_decode(t, donor)
             if payload is not None and prev_hash is not None:
                 break
         else:

@@ -161,6 +161,8 @@ def test_repair_unrepairable_when_every_zone_hit():
     lambda s, rng: s.zone_decode(0, -1),
     lambda s, rng: s.zone_candidate(9, 0),
     lambda s, rng: s.zone_prev_hash(0, 6),
+    lambda s, rng: s.cached_decode(-1, 0),
+    lambda s, rng: s.cached_decode(0, 6),
     lambda s, rng: s.repair_zone(-1, 0, rng),
     lambda s, rng: s.repair_zone(4, 0, rng),
     lambda s, rng: s.repair_zone(0, -1, rng),
@@ -176,8 +178,8 @@ def test_repair_unrepairable_when_every_zone_hit():
     lambda s, rng: recover_block(s, -1),
     lambda s, rng: recover_block(s, 4),
 ], ids=["records_t_neg", "records_z_past", "decode_t_neg", "decode_t_past", "decode_z_neg",
-        "candidate_t_past", "prev_hash_z_past", "repair_t_neg", "repair_t_past",
-        "repair_z_neg", "repair_z_past", "encode_t_past", "encode_z_past",
+        "candidate_t_past", "prev_hash_z_past", "cached_t_neg", "cached_z_past", "repair_t_neg",
+        "repair_t_past", "repair_z_neg", "repair_z_past", "encode_t_past", "encode_z_past",
         "reshare_t_neg", "reshare_z_past", "erase_t_neg", "erase_t_past", "cost_t_neg",
         "cost_t_past", "recover_t_neg", "recover_t_past"])
 def test_slot_or_zone_out_of_range_raises_slot_error(call):
@@ -443,7 +445,8 @@ def test_allocation_over_a_period_keeps_no_schedule():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
-    assert set(vars(state)) == {"config", "layout", "payloads", "hashes", "records"}
+    # the decode memo is the one attribute besides the chain itself
+    assert set(vars(state)) == {"config", "layout", "payloads", "hashes", "records", "_decoded"}
 
 
 def test_hash_field_is_injective_for_width():

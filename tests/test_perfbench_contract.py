@@ -6,7 +6,8 @@ smoke size, untraced and then again under the tracer, and checks what a
 benchmark run checks: no output check fails, the traced round gives the
 same outputs, every zone encoding draws one fresh key, and of the fault
 probes only ``probe_repair_after_rewrite`` (the first-donor repair rule)
-fails.
+fails. It also pins the interpolations of a traced contested round, so a
+change that decodes a zone again fails here without any timing.
 """
 
 import importlib
@@ -51,3 +52,18 @@ def test_workload_round_at_smoke_size(perfbench, name):
     assert tracer.calls["tree_cipher.sample_key"] == wl.expected_sample_keys()
     failed = {kind for kind, (_, f) in plain.ops.items() if f}
     assert failed <= {"probe_repair_after_rewrite"}
+
+
+def test_contested_round_decodes_each_zone_once_per_ledger_state(perfbench):
+    # 115 interpolations when every recovery and repair decoded afresh
+    workloads, tracer_module = perfbench["workloads"], perfbench["tracer"]
+    wl = workloads.WORKLOADS["churn-contested"](smoke=True)
+    tracer = tracer_module.Tracer(zoned_ledger)
+    tracer.install()
+    try:
+        traced = wl.run_round(SEED, tracer)
+    finally:
+        tracer.uninstall()
+    assert traced.errors == []
+    assert traced.figures["slots_scanned"] == 17
+    assert tracer.calls["field.lagrange_interpolate"] == 54

@@ -1,12 +1,17 @@
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
-from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError,
-                                 UnrecoverableError)
-from zoned_ledger.ledger import ChainConfig, ChainState, hash_step, share_field
+from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError, SlotError,
+                                 UnrecoverableError, UnrepairableError)
+from zoned_ledger.ledger import (ChainConfig, ChainState, hash_step, share_field,
+                                 snapshot_load, snapshot_save)
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
 from zoned_ledger.shamir import Share, split
@@ -135,11 +140,33 @@ def test_scan_limit_monotone():
 
 
 def test_negative_scan_limit_is_a_configuration_error():
-    # unchecked, -1 turns the scan off: no slot scanned, no peer eliminated
+    # 0 already turns the scan off; -1 would mean nothing more
     state, rng = make_chain(n=24, m=4, blocks=4, seed=0)
     rewrite_zone_block(state, 0, 0, bytes(32), rng)
     with pytest.raises(ConfigurationError):
         recover_block(state, 0, scan_limit=-1)
+
+
+def contested_chain():
+    """(24,4,32), 8 blocks: zone 0 of slot 2 rewritten, and one of its peers has
+    lost its slot-3 record, so that peer's hash check goes unanswered and the
+    scan runs the whole chain suffix: slots 2 .. 6, five slots."""
+    state, rng = make_chain(n=24, m=4, blocks=8, seed=2)
+    t = 2
+    rewrite_zone_block(state, t, 0, bytes(32), rng)
+    state.erase_peer_record(t + 1, state.allocation(t)[0][0])
+    return state, rng, t
+
+
+@pytest.mark.parametrize("limit,scanned", [(0, 0), (1, 1), (2, 2), (3, 3), (None, 5)])
+def test_scan_limit_bounds_the_slots_scanned(limit, scanned):
+    state, _, t = contested_chain()
+    report = recover_block(state, t, scan_limit=limit)
+    assert report.slots_scanned == scanned
+    assert report.recovered == state.payloads[t]
+    assert not report.unanimous
+    if limit == 0:  # a majority vote with no scan eliminates no one
+        assert report.eliminated_peers == set()
 
 
 def test_elimination_requires_a_failed_comparison():
@@ -208,19 +235,20 @@ def test_tampered_key_share_that_decodes_to_a_wrong_key_is_eliminated():
     assert report.eliminated_peers and report.eliminated_peers <= zone
 
 
-def test_recover_block_decodes_each_zone_once(monkeypatch):
-    state, rng = make_chain(n=24, m=4, blocks=8, seed=2)
-    t = 2
-    rewrite_zone_block(state, t, 0, bytes(32), rng)
-    # one rewritten peer loses its slot t+1 record, so its hash check goes
-    # unanswered and the scan runs the whole chain suffix
-    state.erase_peer_record(t + 1, state.allocation(t)[0][0])
+def count_decodes(monkeypatch):
+    """A Counter of (method, slot, zone) calls to ChainState's three point reads."""
     calls = Counter()
     for name in ("zone_decode", "zone_candidate", "zone_prev_hash"):
         def counted(self, tau, z, _name=name, _decode=getattr(ChainState, name)):
             calls[_name, tau, z] += 1
             return _decode(self, tau, z)
         monkeypatch.setattr(ChainState, name, counted)
+    return calls
+
+
+def test_recover_block_decodes_each_zone_once(monkeypatch):
+    state, _, t = contested_chain()
+    calls = count_decodes(monkeypatch)
     report = recover_block(state, t)
     assert report.recovered == state.payloads[t]
     assert report.slots_scanned == state.num_blocks - 1 - t
@@ -291,6 +319,119 @@ def test_group_scan_matches_the_peer_by_peer_scan(seed):
             recovered, eliminated, scanned)
 
 
+def test_decode_memo_decodes_again_only_what_changed(monkeypatch):
+    state, rng, t = contested_chain()
+    share_gf = share_field(state.config.m, state.config.hash_width)
+    calls = count_decodes(monkeypatch)
+    first = recover_block(state, t).to_json()
+    calls.clear()
+    assert recover_block(state, t).to_json() == first
+    assert calls == Counter()  # an unchanged state decodes nothing
+    # the same block under a fresh key: new records, the same recovery
+    rewrite_zone_block(state, 5, 1, state.payloads[5], rng)
+    calls.clear()  # the rewrite reads the zone's previous hash itself
+    assert recover_block(state, t).to_json() == first
+    assert calls == Counter({("zone_decode", 5, 1): 1})
+    # an in-place share assignment at the last slot, which the scan reaches
+    calls.clear()
+    last = state.num_blocks - 1
+    rec = state.records[last][state.allocation(last)[0][0]]
+    rec.share = Share(rec.share.x, (rec.share.y + 1) % share_gf.modulus)
+    report = recover_block(state, t)
+    assert calls == Counter({("zone_decode", last, 0): 1})
+    recovered, eliminated, scanned = reference_recovery(state, t)
+    assert (report.recovered, report.eliminated_peers, report.slots_scanned) == (
+        recovered, eliminated, scanned)
+    # the point reads decode on every call
+    calls.clear()
+    for _ in range(2):
+        state.zone_candidate(last, 1)
+        state.zone_prev_hash(last, 1)
+        state.zone_decode(last, 1)
+    assert calls == Counter({("zone_candidate", last, 1): 2, ("zone_prev_hash", last, 1): 2,
+                             ("zone_decode", last, 1): 6})
+
+
+def test_writes_drop_the_zone_memo_entry():
+    # so the memo keeps no replaced fragment or share alive
+    state, rng, t = contested_chain()
+    recover_block(state, t)
+    memo = vars(state)["_decoded"]
+    before = set(memo)
+    assert {(5, 1), (4, 2)} <= before
+    rewrite_zone_block(state, 5, 1, state.payloads[5], rng)
+    state.erase_peer_record(4, state.allocation(4)[2][1])
+    assert set(memo) == before - {(5, 1), (4, 2)}
+
+
+MEMO_CHAINS = [(8, 4, 16), (24, 4, 48), (16, 8, 32)]  # (n, m, block_bytes)
+MEMO_STEPS = ["rewrite_zone", "rewrite_suffix", "reshare", "erase", "repair",
+              "assign_share", "snapshot"]
+
+
+def apply_step(state, step, rng, folder):
+    """One write of MEMO_STEPS on a random (slot, zone); returns the state to go on with."""
+    cfg = state.config
+    t, z = rng.randrange(state.num_blocks), rng.randrange(cfg.n // cfg.m)
+    forged = rng.choice([bytes(cfg.block_bytes), b"\x01" * cfg.block_bytes])
+    if step == "rewrite_zone":
+        rewrite_zone_block(state, t, z, forged, rng)
+    elif step == "rewrite_suffix":
+        rewrite_chain_suffix(state, t, forged, rng)
+    elif step == "reshare":
+        state.reshare_zone(t, z, rng.choice([state.hashes[t], rng.getrandbits(64)]), rng)
+    elif step == "erase":
+        state.erase_peer_record(t, rng.randrange(cfg.n))
+    elif step == "repair":
+        try:
+            state.repair_zone(t, z, rng)
+        except UnrepairableError:
+            pass
+    elif step == "assign_share":
+        rec = state.records[t].get(rng.randrange(cfg.n))
+        if rec is not None:
+            gf = share_field(cfg.m, cfg.hash_width)
+            rec.share = Share(rec.share.x, gf.rand(rng))
+    else:
+        path = Path(folder) / "chain.jsonl"
+        snapshot_save(state, path)
+        state = snapshot_load(path)
+    return state
+
+
+def check_memo(state):
+    """cached_decode agrees with zone_decode, recover_block with the reference scan."""
+    n_zones = state.config.n // state.config.m
+    for t in range(state.num_blocks):
+        for z in range(n_zones):
+            assert state.cached_decode(t, z) == state.zone_decode(t, z)
+    # one entry per (slot, zone) at most
+    assert set(vars(state)["_decoded"]) <= {(t, z) for t in range(state.num_blocks)
+                                            for z in range(n_zones)}
+    for t in range(state.num_blocks):
+        recovered, eliminated, scanned = reference_recovery(state, t)
+        if isinstance(recovered, type):
+            with pytest.raises(recovered):
+                recover_block(state, t)
+        else:
+            report = recover_block(state, t)
+            assert (report.recovered, report.eliminated_peers, report.slots_scanned) == (
+                recovered, eliminated, scanned)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MEMO_CHAINS), st.integers(0, 2**16),
+       st.lists(st.tuples(st.sampled_from(MEMO_STEPS), st.integers(0, 2**16)), max_size=8))
+def test_decode_memo_follows_every_write(chain, seed, steps):
+    n, m, block_bytes = chain
+    state, _ = make_chain(n=n, m=m, block_bytes=block_bytes, blocks=5, seed=seed)
+    check_memo(state)
+    with tempfile.TemporaryDirectory() as folder:
+        for step, step_seed in steps:
+            state = apply_step(state, step, random.Random(step_seed), folder)
+            check_memo(state)
+
+
 def test_report_json_round_trippable():
     import json
     state, rng = make_chain(n=8, m=4, blocks=4, seed=13)
@@ -309,6 +450,27 @@ def test_baseline_majority():
     assert recover_baseline(led, 0) == b"honest"
     led.corrupt(4, 0, b"evil..")  # floor(n/2)+1 corrupted
     assert recover_baseline(led, 0) == b"evil.."
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda led: recover_baseline(led, -1), SlotError),
+    (lambda led: recover_baseline(led, 3), SlotError),
+    (lambda led: recover_baseline(ReplicatedLedger(5), 0), SlotError),
+    (lambda led: led.corrupt(0, -3, b"evil"), SlotError),
+    (lambda led: led.corrupt(0, 3, b"evil"), SlotError),
+    (lambda led: led.corrupt(-1, 0, b"evil"), SlotError),
+    (lambda led: led.corrupt(5, 0, b"evil"), SlotError),
+    (lambda led: ReplicatedLedger(0), ConfigurationError),
+    (lambda led: ReplicatedLedger(-2), ConfigurationError),
+], ids=["recover_t_neg", "recover_t_past", "recover_empty", "corrupt_t_neg", "corrupt_t_past",
+        "corrupt_peer_neg", "corrupt_peer_past", "no_peers", "negative_peers"])
+def test_baseline_index_out_of_range_is_typed(call, error):
+    led = ReplicatedLedger(5)
+    for block in (b"zero", b"one", b"two"):
+        led.commit(block)
+    with pytest.raises(error):
+        call(led)
+    assert led.copies == [[b"zero", b"one", b"two"]] * 5  # nothing was written
 
 
 def test_baseline_tie_is_ambiguous():
