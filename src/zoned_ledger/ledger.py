@@ -3,10 +3,11 @@
 Each committed block is, per zone, encrypted under a fresh tree-cipher
 key; the fragments go one per peer, and one byte string, the serialized
 key followed by the previous hash value, is (m, m) secret shared across
-the zone, so a zone decode is one interpolation. Recovery and repair
-read zones through ``ChainState.cached_decode``, which decodes a zone
-again only when its records have changed. The simulator also keeps the
-plain ground truth so experiments can check recovery against it.
+the zone at abscissas below 2^width, so a zone decode is one
+interpolation. Recovery and repair read zones through
+``ChainState.cached_decode``, which decodes a zone again only when its
+records have changed. The simulator also keeps the plain ground truth so
+experiments can check recovery against it.
 """
 
 import hashlib
@@ -50,6 +51,9 @@ class ChainConfig(namedtuple("ChainConfig", "n m block_bytes hash_width seed")):
                 f"block_bytes={block_bytes} must be a positive multiple of m={m}")
         if not 8 <= hash_width <= 256:
             raise ConfigurationError("hash_width must be in [8, 256]")
+        if m >= 2**hash_width:  # each zone draws m distinct share abscissas below 2^width
+            raise ConfigurationError(
+                f"m={m} needs m distinct abscissas in [1, 2^{hash_width})")
         return super().__new__(cls, n, m, block_bytes, hash_width, seed)
 
 
@@ -120,12 +124,17 @@ class ChainState:
 
     def _store_zone(self, t: int, z: int, fragments, key_bytes: bytes, prev_hash: int,
                     rng) -> None:
-        """Write zone z's records: its fragments, with shares of key_bytes ‖ prev_hash."""
-        members, nbytes = self._zone(t, z), hash_nbytes(self.config.hash_width)
+        """Write zone z's records: its fragments, with shares of key_bytes ‖ prev_hash.
+
+        The share abscissas are width-bit: below 2^width, as hard to guess as the hash.
+        """
+        width = self.config.hash_width
+        members, nbytes = self._zone(t, z), hash_nbytes(width)
         if not 0 <= prev_hash < 256**nbytes:  # a forged hash >= 2^width may still fit
             raise ConfigurationError(f"prev_hash {prev_hash} does not fit in {nbytes} bytes")
         m = self.config.m
-        shares = shamir.split_bytes(key_bytes + prev_hash.to_bytes(nbytes, "big"), m, m, rng)
+        shares = shamir.split_bytes(key_bytes + prev_hash.to_bytes(nbytes, "big"), m, m, rng,
+                                    1 << width)
         for peer, fragment, share in zip(members, fragments, shares):
             self.records[t][peer] = PeerSlotRecord(fragment, share)
         self._decoded.pop((t, z), None)  # keep no replaced record alive
@@ -159,6 +168,9 @@ class ChainState:
             self.encode_zone(t, z, payload, self.hashes[t], rng)
 
     def erase_peer_record(self, t: int, peer: int) -> None:
+        """Drop peer's record of slot t, if it has one; SlotError for a bad t or peer."""
+        if not 0 <= peer < self.config.n:
+            raise SlotError(f"peer {peer} is not in range({self.config.n})")
         self._slot(t).pop(peer, None)
         group = peer // (self.config.m // 2)
         self._decoded.pop((t, zones.zone_of_group(self.layout, t, group)), None)
@@ -236,7 +248,8 @@ class ChainState:
         if rec is None:
             raise LookupError(f"no record for peer {peer} at slot {slot}")
         share_bits = share_field(self.config.m, self.config.hash_width).modulus.bit_length()
-        bits = 8 * len(rec.fragment) + 2 * share_bits  # fragment, (x, y) of the share
+        # the fragment, then the share: a width-bit x and a y in the share field
+        bits = 8 * len(rec.fragment) + self.config.hash_width + share_bits
         return float(bits + max(1, math.ceil(math.log2(self.config.m))))
 
 
@@ -296,14 +309,14 @@ def _required(line: dict, name: str, kind=object):
     return line[name]
 
 
-def _share(line: dict, name: str, gf: Field) -> shamir.Share:
+def _share(line: dict, name: str, gf: Field, width: int) -> shamir.Share:
     value = _required(line, name)
     if not (isinstance(value, list) and len(value) == 2
             and all(type(v) is int for v in value)):
         raise SnapshotError(f"{name} must be an [x, y] pair of ints, got {value!r}")
     x, y = value
-    if not (0 < x < gf.modulus and 0 <= y < gf.modulus):
-        raise SnapshotError(f"{name} {value!r} is no share in {gf!r}")
+    if not (0 < x < 2**width and 0 <= y < gf.modulus):
+        raise SnapshotError(f"{name} {value!r} is no share in {gf!r} with x below 2^{width}")
     return shamir.Share(x, y)
 
 
@@ -355,7 +368,8 @@ def snapshot_load(path) -> ChainState:
                 if len(fragment) != fragment_bytes:
                     raise SnapshotError(f"fragment of {len(fragment)} bytes, expected "
                                         f"block_bytes / m = {fragment_bytes}")
-                state.records[t][peer] = PeerSlotRecord(fragment, _share(rec, "share", gf))
+                state.records[t][peer] = PeerSlotRecord(
+                    fragment, _share(rec, "share", gf, cfg.hash_width))
             else:
                 raise SnapshotError(f"unknown snapshot record type {kind!r}")
     return state

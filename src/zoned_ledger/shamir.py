@@ -1,7 +1,12 @@
 """Shamir (k, n) secret sharing over a prime field.
 
-Abscissas are drawn uniformly without replacement from the nonzero field
-elements, so a share is the full point (x, y), not just the ordinate.
+Abscissas are drawn uniformly without replacement from [1, bound), where
+the bound is the field modulus unless the caller gives a smaller one, so
+by default from the nonzero field elements. A share is the full point
+(x, y), not just the ordinate. The ledger bounds x by 2^width: an
+abscissa only has to be secret and distinct, and width bits make it as
+hard to guess as the hash, while split and interpolation multiply by the
+small operand.
 A byte-string secret is read as one big-endian integer and shared as a
 single element of the smallest prime field above 2^(8 * its length); the
 ledger shares each zone's serialized cipher key and previous hash this
@@ -16,31 +21,36 @@ from .field import Field, prime_field, randbelow
 Share = namedtuple("Share", "x y")
 
 
-def _sample_abscissas(field: Field, n: int, rng) -> list[int]:
-    if n >= field.modulus:
-        raise ConfigurationError(
-            f"cannot draw {n} distinct nonzero abscissas from GF({field.modulus})"
-        )
-    if field.modulus <= 4 * n:
-        pool = list(range(1, field.modulus))
+def _sample_abscissas(field: Field, n: int, rng, bound: int) -> list[int]:
+    """n distinct abscissas, uniform without replacement from [1, bound)."""
+    if bound > field.modulus:
+        raise ConfigurationError(f"abscissa bound {bound} exceeds GF({field.modulus})")
+    if n >= bound:
+        raise ConfigurationError(f"cannot draw {n} distinct abscissas from [1, {bound})")
+    if bound <= 4 * n:
+        pool = list(range(1, bound))
         rng.shuffle(pool)
         return pool[:n]
     seen: set[int] = set()
     out = []
     while len(out) < n:
-        x = 1 + randbelow(rng.getrandbits, field.modulus - 1)
+        x = 1 + randbelow(rng.getrandbits, bound - 1)
         if x not in seen:
             seen.add(x)
             out.append(x)
     return out
 
 
-def split(field: Field, secret: int, k: int, n: int, rng) -> list[Share]:
-    """Share secret with threshold k among n parties."""
+def split(field: Field, secret: int, k: int, n: int, rng,
+          x_bound: int | None = None) -> list[Share]:
+    """Share secret with threshold k among n parties, each x in [1, x_bound).
+
+    x_bound defaults to the field modulus and may not exceed it.
+    """
     if not 1 <= k <= n:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
     coeffs = [secret % field.modulus] + [field.rand(rng) for _ in range(k - 1)]
-    xs = _sample_abscissas(field, n, rng)
+    xs = _sample_abscissas(field, n, rng, field.modulus if x_bound is None else x_bound)
     return [Share(x, field.eval_poly(coeffs, x)) for x in xs]
 
 
@@ -52,13 +62,15 @@ def reconstruct(field: Field, shares, k: int) -> int:
     return field.lagrange_interpolate(shares[:k], 0)
 
 
-def split_bytes(secret: bytes, k: int, n: int, rng) -> list[Share]:
-    """Share a byte string; returns one share per party.
+def split_bytes(secret: bytes, k: int, n: int, rng,
+                x_bound: int | None = None) -> list[Share]:
+    """Share a byte string; returns one share per party, x_bound as in split.
 
     The byte length is not embedded in the shares; callers keep it as
     cleartext metadata and pass it to reconstruct_bytes.
     """
-    return split(prime_field(8 * len(secret)), int.from_bytes(secret, "big"), k, n, rng)
+    return split(prime_field(8 * len(secret)), int.from_bytes(secret, "big"), k, n, rng,
+                 x_bound)
 
 
 def reconstruct_bytes(shares, k: int, nbytes: int) -> bytes:

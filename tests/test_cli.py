@@ -267,7 +267,7 @@ PINNED_STDOUT = {
     ("coverage", "--n", "24", "--m", "4", "--seed", "0"):
         "01ecea9018af1c52ea7f1254c7399fe586fa20dc76ce5d160d618708824bc9d9",
     ("simulate", "--n", "8", "--m", "4", "--blocks", "5", "--seed", "3"):
-        "4b6c94f6c6d6d213c0ee78310be22be523607f598c674aee3a3f542f90e77002",
+        "1821b98eed2d4092476d52bf70155b35b36983285d4d5016808bd344af13a1fd",
     SWEEPS_AVAILABILITY:
         "d7b164e760912d53d4bc24b2a6115e1a941cba07b266eeb942b358431329ce0e",
 }

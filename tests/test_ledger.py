@@ -67,6 +67,15 @@ def test_config_validation():
         ChainConfig(n=6, m=4, block_bytes=16)
 
 
+@pytest.mark.parametrize("n,m,width", [(256, 256, 8), (512, 256, 8), (512, 512, 9)])
+def test_config_rejects_zone_without_enough_width_bit_abscissas(n, m, width):
+    # a zone's m shares need m distinct x in [1, 2^width): m >= 2^width has too few
+    with pytest.raises(ConfigurationError):
+        ChainConfig(n, m, m, hash_width=width)
+    ChainConfig(n, m, m, hash_width=width + 1)
+    ChainConfig(m - 2, m - 2, m - 2, hash_width=width)  # one x to spare
+
+
 def test_genesis_and_chain_consistency():
     state, _ = make_chain(blocks=5)
     assert state.hashes[0] == GENESIS_HASH == 0
@@ -151,6 +160,24 @@ def test_repair_unrepairable_when_every_zone_hit():
         state.repair_zone(0, 0, rng)
 
 
+@pytest.mark.parametrize("width", [8, 60, 64, 256])
+def test_every_write_draws_distinct_width_bit_abscissas(width):
+    def assert_width_bit_xs(t, z):
+        xs = [r.share.x for r in state.zone_records(t, z)]
+        assert len(set(xs)) == len(xs) and all(0 < x < 2**width for x in xs)
+
+    state, rng = make_chain(n=12, m=4, blocks=3, seed=width, hash_width=width)
+    for t in range(state.num_blocks):  # committed
+        for z in range(3):
+            assert_width_bit_xs(t, z)
+    state.erase_peer_record(1, state.allocation(1)[2][0])
+    state.repair_zone(1, 2, rng)  # repaired
+    assert_width_bit_xs(1, 2)
+    assert state.reshare_zone(2, 1, state.hashes[2], rng)  # re-shared
+    assert_width_bit_xs(2, 1)
+    assert recover_block(state, 1).recovered == state.payloads[1]
+
+
 # A (24, 4, 48) chain of 4 blocks has 6 zones per slot. Unchecked, t = -1
 # would read (and repair would write) slot 3's records with residue 10's zones.
 @pytest.mark.parametrize("call", [
@@ -173,6 +200,8 @@ def test_repair_unrepairable_when_every_zone_hit():
     lambda s, rng: s.reshare_zone(0, 6, 0, rng),
     lambda s, rng: s.erase_peer_record(-1, 0),
     lambda s, rng: s.erase_peer_record(4, 0),
+    lambda s, rng: s.erase_peer_record(0, -1),
+    lambda s, rng: s.erase_peer_record(0, 24),
     lambda s, rng: s.storage_cost_measured(0, -1),
     lambda s, rng: s.storage_cost_measured(0, 4),
     lambda s, rng: recover_block(s, -1),
@@ -180,7 +209,8 @@ def test_repair_unrepairable_when_every_zone_hit():
 ], ids=["records_t_neg", "records_z_past", "decode_t_neg", "decode_t_past", "decode_z_neg",
         "candidate_t_past", "prev_hash_z_past", "cached_t_neg", "cached_z_past", "repair_t_neg",
         "repair_t_past", "repair_z_neg", "repair_z_past", "encode_t_past", "encode_z_past",
-        "reshare_t_neg", "reshare_z_past", "erase_t_neg", "erase_t_past", "cost_t_neg",
+        "reshare_t_neg", "reshare_z_past", "erase_t_neg", "erase_t_past", "erase_peer_neg",
+        "erase_peer_past", "cost_t_neg",
         "cost_t_past", "recover_t_neg", "recover_t_past"])
 def test_slot_or_zone_out_of_range_raises_slot_error(call):
     state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=4, seed=0)
@@ -250,15 +280,15 @@ def test_storage_cost_measured_fragment_portion():
 
 @pytest.mark.parametrize("m,key_bits", [(4, 17), (6, 33), (8, 49), (16, 129)])
 def test_storage_cost_measured_key_share_bits(m, key_bits):
-    # the key travels in the one share of key and previous hash, an (x, y)
-    # pair in the prime field just above 2^(8 * key_nbytes(m) + 64): the
-    # key_bits - 1 bits of the key part (2m log2 m is 16 / 31 / 48 / 128)
+    # the key travels in the one share of key and previous hash: a 64-bit x
+    # and a y in the prime field just above 2^(8 * key_nbytes(m) + 64), of
+    # the key_bits - 1 bits of the key part (2m log2 m is 16 / 31 / 48 / 128)
     # plus 64 of the hash part, so 81 / 97 / 113 / 193 bits
     state, _ = make_chain(n=2 * m, m=m, block_bytes=m, blocks=1)
     share_bits = share_field(m, 64).modulus.bit_length()
     assert share_bits == key_bits + 64 == {4: 81, 6: 97, 8: 113, 16: 193}[m]
     other = 8 + math.ceil(math.log2(m))
-    assert state.storage_cost_measured(0, 0) == 2 * share_bits + other
+    assert state.storage_cost_measured(0, 0) == 64 + share_bits + other
 
 
 def test_storage_cost_measured_linear_in_block_size():
@@ -326,22 +356,38 @@ def _load_with_edited_line(tmp_path, i, edit, m=4, hash_width=64):
 
 
 # the one share carries the key and the previous hash; each case widens one
-# part of that secret, so the field the loader checks against follows it
+# part of that secret, so the field the loader checks against follows it.
+# Its x is drawn below 2^width, so x = 2^width is refused though it is in the field.
 @pytest.mark.parametrize("m,hash_width", [(8, 64), (4, 128)],
                          ids=["key_share", "hash_share"])
 @pytest.mark.parametrize("point", [
-    lambda p, y: [0, y],
-    lambda p, y: [-1, y],
-    lambda p, y: [p, y],
-    lambda p, y: [1, -1],
-    lambda p, y: [1, p],
-], ids=["x_zero", "x_negative", "x_modulus", "y_negative", "y_modulus"])
+    lambda p, w, y: [0, y],
+    lambda p, w, y: [-1, y],
+    lambda p, w, y: [p, y],
+    lambda p, w, y: [2**w, y],
+    lambda p, w, y: [p - 1, y],
+    lambda p, w, y: [1, -1],
+    lambda p, w, y: [1, p],
+], ids=["x_zero", "x_negative", "x_modulus", "x_width", "x_below_modulus", "y_negative",
+        "y_modulus"])
 def test_snapshot_load_rejects_share_outside_field(tmp_path, m, hash_width, point):
     p = share_field(m, hash_width).modulus
-    assert p > share_field(4, 64).modulus
+    assert p > share_field(4, 64).modulus > 2**64
     _load_with_edited_record(
-        tmp_path, lambda rec: rec.update(share=point(p, rec["share"][1])),
+        tmp_path, lambda rec: rec.update(share=point(p, hash_width, rec["share"][1])),
         m=m, hash_width=hash_width)
+
+
+def test_snapshot_load_keeps_a_share_at_the_largest_width_bit_x(tmp_path):
+    state, _ = make_chain(n=8, m=4, blocks=1, seed=12)
+    path = tmp_path / "chain.jsonl"
+    snapshot_save(state, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["share"][0] = 2**64 - 1
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    assert snapshot_load(path).records[0][rec["peer"]].share.x == 2**64 - 1
 
 
 def test_snapshot_load_rejects_key_share_of_the_byte_per_digit_encoding(tmp_path):

@@ -220,16 +220,22 @@ def test_shared_value_past_the_byte_width_decodes_to_nothing():
 def test_tampered_key_share_that_decodes_to_a_wrong_key_is_eliminated():
     # every index below key_space(m) is a key, so at m = 4 a random share,
     # whose joint secret then has a random key part, decodes to some valid
-    # key about 3 times in 8; this seeded tampering is one such case, and
-    # the zone yields a wrong block
+    # key about 3 times in 8; the first seed whose tampering is one such
+    # case is taken, and the zone yields a wrong block
     state, _ = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=0)
     t, z = 2, 0
     zone = set(state.allocation(t)[z])
-    rng = random.Random(0)
-    rec = state.records[t][rng.choice(sorted(zone))]
-    rec.share = Share(rec.share.x, share_field(state.config.m, 64).rand(rng))
-    candidate = state.zone_candidate(t, z)
-    assert candidate is not None and candidate != state.payloads[t]
+    for seed in range(64):
+        rng = random.Random(seed)
+        rec = state.records[t][rng.choice(sorted(zone))]
+        honest = rec.share
+        rec.share = Share(honest.x, share_field(state.config.m, 64).rand(rng))
+        candidate = state.zone_candidate(t, z)
+        if candidate is not None and candidate != state.payloads[t]:
+            break
+        rec.share = honest
+    else:
+        pytest.fail("no seed in 0..63 tampers a share into a valid wrong key")
     report = recover_block(state, t)
     assert report.recovered == state.payloads[t]
     assert report.eliminated_peers and report.eliminated_peers <= zone

@@ -49,6 +49,47 @@ def test_field_too_small():
         split(Field(7), 1, 3, 7, random.Random(0))
 
 
+def test_default_bound_draws_the_whole_field_bit_for_bit():
+    # abscissas of the unbounded path, pinned: callers that give no bound
+    # (the adversary trials, the benchmark's probe) keep their draws
+    assert [s.x for s in split(prime_field(64), 5, 3, 4, random.Random(7))] == [
+        691672907343361485, 7713914763314685787, 17482144350526720242, 10801332806156616912]
+    assert [s.x for s in split(Field(13), 5, 2, 4, random.Random(7))] == [4, 11, 6, 8]
+    assert split_bytes(b"ab", 2, 3, random.Random(7)) == [
+        Share(19773, 23093), Share(51751, 58033), Share(6329, 23172)]
+    f = prime_field(64)
+    assert split(f, 5, 3, 4, random.Random(7), f.modulus) == split(f, 5, 3, 4, random.Random(7))
+
+
+@pytest.mark.parametrize("bound,n", [(2**64, 16), (2**8, 16), (2**8, 255), (6, 5), (64, 16)])
+def test_bounded_abscissas_are_distinct_and_below_the_bound(bound, n):
+    f = prime_field(64)
+    shares = split(f, 42, n, n, random.Random(bound + n), bound)
+    xs = [s.x for s in shares]
+    assert len(set(xs)) == n and all(0 < x < bound for x in xs)
+    assert reconstruct(f, shares, n) == 42
+    if n == bound - 1:
+        assert sorted(xs) == list(range(1, bound))
+
+
+def test_bounded_abscissas_are_uniform():
+    # 3 of the 7 values in [1, 8) each time: every value is drawn 3/7 of the time
+    rng = random.Random(5)
+    counts = [0] * 8
+    for _ in range(7000):
+        for s in split(Field(13), 1, 3, 3, rng, 8):
+            counts[s.x] += 1
+    assert counts[0] == 0
+    assert all(abs(c - 3000) < 4 * (7000 * 3 / 7 * 4 / 7) ** 0.5 for c in counts[1:])
+
+
+@pytest.mark.parametrize("bound,n", [(6, 1), (4, 4), (2**64, 1)])
+def test_abscissa_bound_too_small_or_past_the_field(bound, n):
+    f = Field(5) if bound < 2**64 else prime_field(63)
+    with pytest.raises(ConfigurationError):
+        split(f, 1, 1, n, random.Random(0), bound)
+
+
 def test_insufficient_shares():
     f = Field(11)
     shares = split(f, 5, 3, 4, random.Random(3))
