@@ -46,35 +46,34 @@ def _summary(trials, successes, bound, seed) -> TrialSummary:
     return TrialSummary(trials, successes, successes / trials, bound, seed)
 
 
-def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int,
-                          x_bits: int | None = None) -> TrialSummary:
+def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> TrialSummary:
     """Rewrite a zone's shared hash with one honest peer remaining.
 
     The adversary knows the secret H, the target H', and m-1 shares, but
     not the honest peer's abscissa. It guesses an unused abscissa x_hat,
     shifts its own shares by the degree-1 polynomial that moves the
     intercept from H to H' while fixing x_hat, and wins iff
-    reconstruction with the true honest share yields H'. Abscissas come
-    from the whole field, or from [1, 2^x_bits) as the ledger draws them,
-    so success probability is exactly 1/(q - m), or 1/(2^x_bits - m).
+    reconstruction with the true honest share yields H'. Success
+    probability is exactly 1/(q - m): one over the abscissas left to guess.
+    The ledger draws x from [1, 2^width), so there the same forger wins
+    with 1/(2^width - m), no better odds than forging the width-bit hash.
     """
     if m < 2:
         raise ConfigurationError("need m >= 2 for a corruption trial")
     _check_trials(trials)
     f = prime_field(field_bits)
     q = f.modulus
-    x_bound = q if x_bits is None else 2**x_bits
     rng = random.Random(seed)
     successes = 0
     for _ in range(trials):
         secret = f.rand(rng)
         target = (secret + rng.randrange(1, q)) % q
-        shares = split(f, secret, m, m, rng, x_bound)
+        shares = split(f, secret, m, m, rng)
         honest = shares[-1]
         known = shares[:-1]
         used = {s.x for s in known}
         while True:
-            x_hat = rng.randrange(1, x_bound)
+            x_hat = rng.randrange(1, q)
             if x_hat not in used:
                 break
         # delta(x) = (H' - H) * (x_hat - x) / x_hat: delta(0) moves the
@@ -84,7 +83,7 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int,
         result = f.lagrange_interpolate(forged + [honest], 0)
         if result == target:
             successes += 1
-    return _summary(trials, successes, 1.0 / (x_bound - m), seed)
+    return _summary(trials, successes, 1.0 / (q - m), seed)
 
 
 def zone_corruption_trial(m: int, c: int, trials: int, seed: int) -> TrialSummary:

@@ -108,9 +108,7 @@ class Field:
         numerators prod_{j != i}(x0 - x_j) come from prefix and suffix
         products, and all the denominators prod_{j != i}(x_i - x_j) are
         inverted together (Montgomery's trick): one modular inversion
-        per call. Each denominator is reduced once, after its product:
-        with abscissas far below the modulus, as the ledger draws them,
-        that is cheaper than reducing every factor.
+        per call.
         """
         if not points:
             raise ValueError("need at least one point")
@@ -135,8 +133,7 @@ class Field:
             den = 1
             for xj in xs:
                 if xj != xi:
-                    den *= xi - xj
-            den %= mod
+                    den = den * (xi - xj) % mod
             dens.append(den)
             below.append(acc)
             acc = acc * den % mod

@@ -36,19 +36,6 @@ def test_hash_corruption_rare_at_realistic_width():
     assert s.successes == 0
 
 
-def test_hash_corruption_with_narrow_abscissas_matches_exact_rate():
-    # x drawn from [1, 2^7) in a 32-bit field, as the ledger bounds x by 2^width:
-    # the forger guesses among the 2^7 - m abscissas the known shares leave
-    s = hash_corruption_trial(m=4, field_bits=32, trials=20000, seed=3, x_bits=7)
-    assert s.bound == 1 / (2**7 - 4)
-    assert abs(s.estimate - s.bound) <= 4 * math.sqrt(s.bound * (1 - s.bound) / s.trials)
-
-
-def test_hash_corruption_default_abscissas_keep_their_draws():
-    # whole-field abscissas, as before x could be bounded: pinned counts
-    assert [hash_corruption_trial(4, 7, 3000, seed).successes for seed in (1, 2)] == [24, 25]
-
-
 def test_zone_corruption_edge_cases():
     assert zone_corruption_trial(6, 1, 2000, 0).successes == 0
     assert zone_corruption_trial(6, 6, 500, 0).estimate == 1.0
