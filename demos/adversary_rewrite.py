@@ -12,7 +12,7 @@ from zoned_ledger.recovery import recover_block
 n, m, block_bytes = 24, 4, 32
 seed = 11
 
-state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes, seed=seed))
+state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes))
 rng = random.Random(seed)
 for _ in range(8):
     state.commit_block(rng.randbytes(block_bytes), rng)

@@ -11,7 +11,7 @@ from zoned_ledger.recovery import recover_block
 n, m, block_bytes, blocks = 24, 4, 48, 10
 seed = 7
 
-state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes, seed=seed))
+state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes))
 rng = random.Random(seed)
 for t in range(blocks):
     state.commit_block(rng.randbytes(block_bytes), rng)

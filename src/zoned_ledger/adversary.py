@@ -78,8 +78,8 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> Tr
                 break
         # delta(x) = (H' - H) * (x_hat - x) / x_hat: delta(0) moves the
         # intercept, delta(x_hat) = 0 keeps the guessed point fixed.
-        scale = f.mul(f.sub(target, secret), f.inv(x_hat))
-        forged = [Share(s.x, f.add(s.y, f.mul(scale, f.sub(x_hat, s.x)))) for s in known]
+        scale = (target - secret) * pow(x_hat, -1, q) % q
+        forged = [Share(s.x, (s.y + scale * (x_hat - s.x)) % q) for s in known]
         result = f.lagrange_interpolate(forged + [honest], 0)
         if result == target:
             successes += 1

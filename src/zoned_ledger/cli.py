@@ -42,7 +42,7 @@ def cmd_simulate(args) -> int:
     if args.blocks < 0:
         raise ConfigurationError(f"--blocks must be >= 0, got {args.blocks}")
     cfg = ChainConfig(n=args.n, m=args.m, block_bytes=args.block_bytes,
-                      hash_width=args.hash_width, seed=args.seed)
+                      hash_width=args.hash_width)
     state = ChainState(cfg)
     rng = random.Random(args.seed)
     for _ in range(args.blocks):

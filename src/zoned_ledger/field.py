@@ -77,20 +77,6 @@ class Field:
     def __repr__(self):
         return f"Field({self.modulus})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def inv(self, a: int) -> int:
-        if a % self.modulus == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, -1, self.modulus)
-
     def rand(self, rng) -> int:
         return randbelow(rng.getrandbits, self.modulus)
 

@@ -41,10 +41,10 @@ def hash_step(prev: int, payload: bytes, width: int = 64) -> int:
     return int.from_bytes(digest, "big") >> (256 - width)
 
 
-class ChainConfig(namedtuple("ChainConfig", "n m block_bytes hash_width seed")):
+class ChainConfig(namedtuple("ChainConfig", "n m block_bytes hash_width")):
     __slots__ = ()
 
-    def __new__(cls, n: int, m: int, block_bytes: int, hash_width: int = 64, seed: int = 0):
+    def __new__(cls, n: int, m: int, block_bytes: int, hash_width: int = 64):
         zones.layout(n, m)
         if block_bytes <= 0 or block_bytes % m != 0:
             raise ConfigurationError(
@@ -54,19 +54,12 @@ class ChainConfig(namedtuple("ChainConfig", "n m block_bytes hash_width seed")):
         if m >= 2**hash_width:  # each zone draws m distinct share abscissas below 2^width
             raise ConfigurationError(
                 f"m={m} needs m distinct abscissas in [1, 2^{hash_width})")
-        return super().__new__(cls, n, m, block_bytes, hash_width, seed)
+        return super().__new__(cls, n, m, block_bytes, hash_width)
 
 
-class PeerSlotRecord:
-    # no __slots__: perfbench's hash-out-of-range probe sets an attribute on records
-    def __init__(self, fragment: bytes, share: shamir.Share):
-        self.fragment = fragment
-        self.share = share
-
-    def __eq__(self, other):
-        if type(other) is not PeerSlotRecord:
-            return NotImplemented
-        return (self.fragment, self.share) == (other.fragment, other.share)
+class PeerSlotRecord(namedtuple("PeerSlotRecord", "fragment share")):
+    """What a peer stores for a slot: its fragment and its share of key ‖ H_{t-1}."""
+    # no __slots__: perfbench's hash-out-of-range probe sets .hash_share on a record
 
 
 class ChainState:
@@ -83,7 +76,7 @@ class ChainState:
         # so block t is chained to hashes[t], the value its zones share
         self.hashes: list[int] = [GENESIS_HASH]
         self.records: list[dict[int, PeerSlotRecord]] = []
-        # (t, z) -> (the zone's fragments and shares as decoded, block, H_{t-1})
+        # (t, z) -> (the zone's m records as decoded, None where missing; block, H_{t-1})
         self._decoded: dict[tuple[int, int], tuple] = {}
 
     @property
@@ -201,14 +194,12 @@ class ChainState:
     def cached_decode(self, t: int, z: int) -> tuple[bytes | None, int | None]:
         """zone_decode(t, z), decoded again only when the zone's records have changed.
 
-        The memo keeps one entry per (t, z): the fragments and shares the zone
-        was decoded from, then the result. A hit needs the current ones to
-        compare equal, so every write is seen, an in-place share assignment
-        included.
+        The memo keeps one entry per (t, z): the zone's m records it was
+        decoded from, then the result. A hit needs the current ones to compare
+        equal, so every write is seen, a record replaced outside ChainState's
+        writers included.
         """
-        # a list first: a tuple grown from a generator left the heap more fragmented
-        content = tuple([x for r in map(self._slot(t).get, self._zone(t, z))
-                         for x in ((None,) if r is None else (r.fragment, r.share))])
+        content = tuple(map(self._slot(t).get, self._zone(t, z)))
         entry = self._decoded.get((t, z))
         if entry is not None and entry[0] == content:
             return entry[1:]
@@ -275,7 +266,6 @@ def snapshot_save(state: ChainState, path) -> None:
         fh.write(json.dumps({
             "type": "config", "n": cfg.n, "m": cfg.m,
             "block_bytes": cfg.block_bytes, "hash_width": cfg.hash_width,
-            "seed": cfg.seed,
         }, sort_keys=True) + "\n")
         for t, payload in enumerate(state.payloads):
             fh.write(json.dumps({
@@ -336,8 +326,7 @@ def snapshot_load(path) -> ChainState:
             raise SnapshotError("snapshot must start with a config line")
         try:
             state = ChainState(ChainConfig(**{
-                name: _required(header, name, int)
-                for name in ("n", "m", "block_bytes", "hash_width", "seed")}))
+                name: _required(header, name, int) for name in ChainConfig._fields}))
         except ConfigurationError as exc:
             raise SnapshotError(f"snapshot config is invalid: {exc}") from None
         cfg = state.config

@@ -155,7 +155,7 @@ def scheme_cost_comparison(n: int, m: int, p_bits: int, pprime_fraction: float,
 
     block_bytes = m * 8
     state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes,
-                                   hash_width=min(p_bits, 64), seed=seed))
+                                   hash_width=min(p_bits, 64)))
     rng = random.Random(seed)
     state.commit_block(rng.randbytes(block_bytes), rng)
     share_evals = len(state.records[0])  # one share of key and previous hash per record

@@ -14,22 +14,17 @@ peers' zone candidates wins.
 """
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .errors import AmbiguousRecoveryError, ConfigurationError, SlotError, UnrecoverableError
 from .ledger import ChainState, hash_step
 from .zones import zone_of_group
 
 
-class RecoveryReport:
-    def __init__(self, recovered: bytes | None, per_zone_candidates: dict[int, bytes | None],
-                 eliminated_peers: set[int] | None = None, slots_scanned: int = 0,
-                 unanimous: bool = False):
-        self.recovered = recovered
-        self.per_zone_candidates = per_zone_candidates
-        self.eliminated_peers = set() if eliminated_peers is None else eliminated_peers
-        self.slots_scanned = slots_scanned
-        self.unanimous = unanimous
+class RecoveryReport(namedtuple(
+        "RecoveryReport",
+        "recovered per_zone_candidates eliminated_peers slots_scanned unanimous")):
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps({
@@ -55,12 +50,11 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
     zones_t = zones_tau = {g: zone_of_group(lay, t, g) for g in range(lay.num_groups)}
     decoded = [state.cached_decode(t, z) for z in range(n_zones)]  # (block, H_{t-1})
     candidates = {z: block for z, (block, _) in enumerate(decoded)}
-    report = RecoveryReport(recovered=None, per_zone_candidates=candidates)
     if all(c is None for c in candidates.values()):
         raise UnrecoverableError(f"no zone can decode slot {t}")
 
     distinct = {c for c in candidates.values() if c is not None}
-    active = set(zones_t)
+    active, eliminated, scanned = set(zones_t), set(), 0
     if len(distinct) > 1:
         last_tau = state.num_blocks - 2
         if scan_limit is not None:
@@ -84,8 +78,8 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
                 if z in recomputed and next_hash is not None and recomputed[z] != next_hash:
                     dropped.add(g)
             active -= dropped
-            report.eliminated_peers.update(p for g in dropped for p in lay.group(g))
-            report.slots_scanned += 1
+            eliminated.update(p for g in dropped for p in lay.group(g))
+            scanned += 1
             decoded, zones_tau = following, zones_next
             if len({candidates[zones_t[g]] for g in active} - {None}) <= 1:
                 break
@@ -100,9 +94,7 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
     ranked = votes.most_common()
     if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
         raise AmbiguousRecoveryError(f"majority tie while recovering slot {t}")
-    report.recovered = ranked[0][0]
-    report.unanimous = len(distinct) == 1
-    return report
+    return RecoveryReport(ranked[0][0], candidates, eliminated, scanned, len(distinct) == 1)
 
 
 class ReplicatedLedger:

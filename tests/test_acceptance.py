@@ -33,7 +33,7 @@ from zoned_ledger.zones import allocation_at, coverage_slots, layout
 
 
 def make_chain(n, m, block_bytes, blocks, seed):
-    state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes, seed=seed))
+    state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes))
     rng = random.Random(seed)
     for _ in range(blocks):
         state.commit_block(rng.randbytes(block_bytes), rng)

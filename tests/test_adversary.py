@@ -174,7 +174,7 @@ def test_availability_bounds_bracket_truth():
 
 def test_dos_tolerance_by_scripted_erasure():
     assert dos_tolerance(24, 4) == 6
-    state = ChainState(ChainConfig(n=8, m=4, block_bytes=16, seed=0))
+    state = ChainState(ChainConfig(n=8, m=4, block_bytes=16))
     rng = random.Random(0)
     state.commit_block(rng.randbytes(16), rng)
     # one outage per zone leaves no decodable zone; one fewer survives

@@ -1,8 +1,10 @@
 """ChainState is the only writer of zone records.
 
 Outside ledger.py no library module touches a private of ChainState (or
-of any name `state`) or assigns a record's share or fragment; inside it,
-new records are built only where zones are stored and snapshots loaded.
+of any name `state`), assigns a record's share or fragment, or assigns or
+deletes an item of any `<x>.records`; inside it, new records are built only
+where zones are stored and snapshots loaded. The decode memo relies on this:
+ChainState's writers drop the memo entry of every zone they change.
 """
 
 import ast
@@ -21,7 +23,7 @@ def _tree(name):
 
 
 def _targets(node):
-    if isinstance(node, ast.Assign):
+    if isinstance(node, (ast.Assign, ast.Delete)):
         stack = list(node.targets)
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         stack = [node.target]
@@ -33,6 +35,15 @@ def _targets(node):
             stack.extend(target.elts)
         else:
             yield target
+
+
+def _into_records(target):
+    """Whether target is an item of some `<x>.records`, at any depth."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+        if isinstance(target, ast.Attribute) and target.attr == "records":
+            return True
+    return False
 
 
 def _is_private(name):
@@ -50,7 +61,8 @@ def _chain_state_privates():
 
 def layering_violations(tree, privates=frozenset(_chain_state_privates())):
     """(line, text) for each access to a ChainState private, or to any private
-    attribute of a name `state`, and for each record-field write."""
+    attribute of a name `state`, for each record-field write, and for each
+    assignment or deletion of a record."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _is_private(node.attr) and (
@@ -60,6 +72,8 @@ def layering_violations(tree, privates=frozenset(_chain_state_privates())):
         for target in _targets(node):
             if isinstance(target, ast.Attribute) and target.attr in RECORD_FIELDS:
                 found.append((target.lineno, ast.unparse(target) + " = ..."))
+            elif _into_records(target):
+                found.append((target.lineno, ast.unparse(node)))
     return found
 
 
@@ -86,6 +100,8 @@ def test_records_are_built_only_where_zones_are_stored_or_snapshots_loaded():
     "rec.share = share",
     "recs[0].fragment, x = b'', 1",
     "rec.fragment += b'x'",
+    "state.records[t][p] = rec",
+    "del state.records[t][p]",
 ])
 def test_the_check_catches_what_it_forbids(source):
     assert layering_violations(ast.parse(source))

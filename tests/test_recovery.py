@@ -18,8 +18,7 @@ from zoned_ledger.shamir import Share, split
 
 
 def make_chain(n=24, m=4, block_bytes=32, blocks=8, seed=0, hash_width=64):
-    state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes,
-                                   hash_width=hash_width, seed=seed))
+    state = ChainState(ChainConfig(n=n, m=m, block_bytes=block_bytes, hash_width=hash_width))
     rng = random.Random(seed)
     for _ in range(blocks):
         state.commit_block(rng.randbytes(block_bytes), rng)
@@ -93,8 +92,8 @@ def test_chain_suffix_rewrite_leaves_unreadable_zones_untouched():
     state, rng = make_chain(n=16, m=4, blocks=4, seed=6)
     state.erase_peer_record(2, state.allocation(2)[0][0])
     gf = share_field(4, 64)
-    for rec, share in zip(state.zone_records(2, 1), split(gf, gf.modulus - 1, 4, 4, rng)):
-        rec.share = share
+    for peer, share in zip(state.allocation(2)[1], split(gf, gf.modulus - 1, 4, 4, rng)):
+        state.records[2][peer] = state.records[2][peer]._replace(share=share)
 
     def stored(z):
         return [None if r is None else (r.fragment, r.share)
@@ -208,9 +207,8 @@ def test_shared_value_past_the_byte_width_decodes_to_nothing():
     # of the field, but past the 10 bytes of key and hash it should fill
     state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=3)
     gf = share_field(4, 64)
-    recs = state.zone_records(1, 2)
-    for rec, share in zip(recs, split(gf, gf.modulus - 1, 4, 4, rng)):
-        rec.share = share
+    for peer, share in zip(state.allocation(1)[2], split(gf, gf.modulus - 1, 4, 4, rng)):
+        state.records[1][peer] = state.records[1][peer]._replace(share=share)
     assert state.zone_decode(1, 2) == (None, None)
     report = recover_block(state, 1)
     assert report.recovered == state.payloads[1]
@@ -227,13 +225,14 @@ def test_tampered_key_share_that_decodes_to_a_wrong_key_is_eliminated():
     zone = set(state.allocation(t)[z])
     for seed in range(64):
         rng = random.Random(seed)
-        rec = state.records[t][rng.choice(sorted(zone))]
-        honest = rec.share
-        rec.share = Share(honest.x, share_field(state.config.m, 64).rand(rng))
+        peer = rng.choice(sorted(zone))
+        honest = state.records[t][peer]
+        state.records[t][peer] = honest._replace(
+            share=Share(honest.share.x, share_field(state.config.m, 64).rand(rng)))
         candidate = state.zone_candidate(t, z)
         if candidate is not None and candidate != state.payloads[t]:
             break
-        rec.share = honest
+        state.records[t][peer] = honest
     else:
         pytest.fail("no seed in 0..63 tampers a share into a valid wrong key")
     report = recover_block(state, t)
@@ -338,11 +337,13 @@ def test_decode_memo_decodes_again_only_what_changed(monkeypatch):
     calls.clear()  # the rewrite reads the zone's previous hash itself
     assert recover_block(state, t).to_json() == first
     assert calls == Counter({("zone_decode", 5, 1): 1})
-    # an in-place share assignment at the last slot, which the scan reaches
+    # a record replaced outside ChainState's writers at the last slot, which the scan reaches
     calls.clear()
     last = state.num_blocks - 1
-    rec = state.records[last][state.allocation(last)[0][0]]
-    rec.share = Share(rec.share.x, (rec.share.y + 1) % share_gf.modulus)
+    peer = state.allocation(last)[0][0]
+    rec = state.records[last][peer]
+    state.records[last][peer] = rec._replace(
+        share=Share(rec.share.x, (rec.share.y + 1) % share_gf.modulus))
     report = recover_block(state, t)
     assert calls == Counter({("zone_decode", last, 0): 1})
     recovered, eliminated, scanned = reference_recovery(state, t)
@@ -372,7 +373,7 @@ def test_writes_drop_the_zone_memo_entry():
 
 MEMO_CHAINS = [(8, 4, 16), (24, 4, 48), (16, 8, 32)]  # (n, m, block_bytes)
 MEMO_STEPS = ["rewrite_zone", "rewrite_suffix", "reshare", "erase", "repair",
-              "assign_share", "snapshot"]
+              "replace_share", "snapshot"]
 
 
 def apply_step(state, step, rng, folder):
@@ -393,11 +394,12 @@ def apply_step(state, step, rng, folder):
             state.repair_zone(t, z, rng)
         except UnrepairableError:
             pass
-    elif step == "assign_share":
-        rec = state.records[t].get(rng.randrange(cfg.n))
+    elif step == "replace_share":
+        peer = rng.randrange(cfg.n)
+        rec = state.records[t].get(peer)
         if rec is not None:
             gf = share_field(cfg.m, cfg.hash_width)
-            rec.share = Share(rec.share.x, gf.rand(rng))
+            state.records[t][peer] = rec._replace(share=Share(rec.share.x, gf.rand(rng)))
     else:
         path = Path(folder) / "chain.jsonl"
         snapshot_save(state, path)

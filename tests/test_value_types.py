@@ -5,11 +5,20 @@ import pytest
 from zoned_ledger.adversary import (ConfidentialityReport, confidentiality_probe,
                                     zone_corruption_trial)
 from zoned_ledger.errors import ConfigurationError
-from zoned_ledger.ledger import ChainConfig
+from zoned_ledger.ledger import ChainConfig, ChainState
 from zoned_ledger.mining import DifficultyTarget, mine
+from zoned_ledger.recovery import RecoveryReport, recover_block
 from zoned_ledger.shamir import Share
 from zoned_ledger.tree_cipher import CipherKey, RootedTree
 from zoned_ledger.zones import layout
+
+
+def recovery_report():
+    state, rng = ChainState(ChainConfig(8, 4, 16)), random.Random(0)
+    for _ in range(3):
+        state.commit_block(rng.randbytes(16), rng)
+    return recover_block(state, 1)
+
 
 VALUES = {
     "ChainConfig": lambda: ChainConfig(24, 4, 48),
@@ -21,6 +30,7 @@ VALUES = {
     "TrialSummary": lambda: zone_corruption_trial(4, 2, 10, 0),
     "ConfidentialityReport": lambda: confidentiality_probe(2, 1),
     "Share": lambda: Share(3, 5),
+    "RecoveryReport": recovery_report,
 }
 
 
@@ -28,7 +38,9 @@ VALUES = {
 def test_value_types_are_immutable_and_equal_by_value(make):
     a, b = make(), make()
     assert a == b and a is not b
-    if not isinstance(a, ConfidentialityReport):  # its marginals are lists
+    # a ConfidentialityReport's marginals are lists; a RecoveryReport's
+    # candidates are a dict and its eliminated peers a set
+    if not isinstance(a, (ConfidentialityReport, RecoveryReport)):
         assert hash(a) == hash(b) and len({a, b}) == 1
     name = a._fields[0]
     with pytest.raises(AttributeError):
@@ -39,7 +51,7 @@ def test_value_types_are_immutable_and_equal_by_value(make):
 
 def test_value_type_repr_names_every_field():
     assert repr(ChainConfig(24, 4, 48)) == \
-        "ChainConfig(n=24, m=4, block_bytes=48, hash_width=64, seed=0)"
+        "ChainConfig(n=24, m=4, block_bytes=48, hash_width=64)"
 
 
 TREE = RootedTree((0, 0, 1), 0)
