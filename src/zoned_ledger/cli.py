@@ -105,9 +105,9 @@ def cmd_mining(args) -> int:
         raise ConfigurationError(f"--nonce-bits must be >= 0, got {args.nonce_bits}")
     fractions = (DEFAULT_FRACTIONS if args.target_fraction is None
                  else [args.target_fraction])
+    targets = [mining.DifficultyTarget(args.hash_width, f) for f in fractions]
     records = []
-    for i, fraction in enumerate(fractions):
-        target = mining.DifficultyTarget(args.hash_width, fraction)
+    for i, target in enumerate(targets):
         stats = mining.mining_trials(target, args.nonce_bits, args.trials, args.seed + i)
         stats["kind"] = "mining"
         records.append(stats)

@@ -4,9 +4,10 @@ Elements are plain Python ints reduced modulo the field prime; the
 ``Field`` object carries the modulus so values stay lightweight.
 Lagrange interpolation takes one modular inversion per call, however
 many points it is given. ``randbelow`` draws uniform ints from the same
-bits as ``random.Random.randrange``.
+bits as ``random.Random.randrange``, and ``randbelow_list`` a run of them.
 """
 
+import math
 from functools import cache
 
 from .errors import ConfigurationError
@@ -53,12 +54,46 @@ def randbelow(getrandbits, n: int) -> int:
     return r
 
 
+def randbelow_list(getrandbits, n: int, count: int) -> list[int]:
+    """count calls of randbelow(getrandbits, n), bit for bit, in one loop.
+
+    Each value's rejection draws come before the next value's first
+    draw, as in count separate calls, but without a call per value.
+    """
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+_SIEVE_BOUND = 2000
+
+
+@cache
+def _small_odd_primes_product() -> int:
+    """The product of the odd primes below _SIEVE_BOUND, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * _SIEVE_BOUND
+    for p in range(3, math.isqrt(_SIEVE_BOUND) + 1, 2):
+        if sieve[p]:
+            sieve[p * p::2 * p] = bytes(len(range(p * p, _SIEVE_BOUND, 2 * p)))
+    return math.prod(p for p in range(3, _SIEVE_BOUND, 2) if sieve[p])
+
+
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+    """Smallest prime strictly greater than n.
+
+    An odd candidate above _SIEVE_BOUND that shares a factor with the odd
+    primes below it is composite; one gcd rules it out before is_prime.
+    """
     c = n + 1 if n % 2 == 0 else n + 2
     if n < 2:
         return 2
-    while not is_prime(c):
+    small = _small_odd_primes_product()
+    while c > _SIEVE_BOUND and math.gcd(c, small) != 1 or not is_prime(c):
         c += 2
     return c
 

@@ -37,7 +37,13 @@ class DifficultyTarget(namedtuple("DifficultyTarget", "hash_width_bits target_fr
             raise ConfigurationError("target_fraction must be in (0, 1]")
         if not 8 <= hash_width_bits <= 256:
             raise ConfigurationError("hash_width_bits must be in [8, 256]")
-        return super().__new__(cls, hash_width_bits, target_fraction)
+        self = super().__new__(cls, hash_width_bits, target_fraction)
+        if self.threshold == 0:
+            # no hash is below 0, so mine would try every nonce before it raised
+            raise ConfigurationError(
+                f"target_fraction {target_fraction} of 2^{hash_width_bits} rounds to a "
+                "threshold of 0, which no hash meets")
+        return self
 
     @property
     def threshold(self) -> int:

@@ -16,7 +16,7 @@ way, as one byte string.
 from collections import namedtuple
 
 from .errors import ConfigurationError, InsufficientSharesError, KeyDecodeError
-from .field import Field, prime_field, randbelow
+from .field import Field, prime_field, randbelow, randbelow_list
 
 Share = namedtuple("Share", "x y")
 
@@ -49,8 +49,9 @@ def split(field: Field, secret: int, k: int, n: int, rng,
     """
     if not 1 <= k <= n:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
-    coeffs = [secret % field.modulus] + [field.rand(rng) for _ in range(k - 1)]
-    xs = _sample_abscissas(field, n, rng, field.modulus if x_bound is None else x_bound)
+    mod = field.modulus
+    coeffs = [secret % mod] + randbelow_list(rng.getrandbits, mod, k - 1)
+    xs = _sample_abscissas(field, n, rng, mod if x_bound is None else x_bound)
     return [Share(x, field.eval_poly(coeffs, x)) for x in xs]
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import cache, reduce
 
 from .errors import ConfigurationError, KeyDecodeError
-from .field import randbelow
+from .field import randbelow_list
 
 
 class RootedTree(namedtuple("RootedTree", "parents root")):
@@ -76,13 +76,23 @@ def _reroot(parents: list[int], node: int) -> None:
 def tree_from_prufer(seq, m: int, root: int) -> RootedTree:
     """Build the labeled tree of a Prufer sequence and orient it at root.
 
-    Linear time: the smallest leaf is tracked with a forward pointer, and
-    a node that becomes a leaf below the pointer is removed at once.
-    The tree comes out rooted at m-1, the node never removed.
+    The input is checked here, where it enters; the tree is then built
+    without RootedTree's cycle walk, because every sequence of m-2
+    digits below m is the sequence of a tree.
     """
     seq = list(seq)
     if len(seq) != max(0, m - 2) or any(not 0 <= v < m for v in seq + [root]):
         raise ValueError(f"no tree on {m} nodes has Prufer sequence {seq} and root {root}")
+    return _prufer_tree(seq, m, root)
+
+
+def _prufer_tree(seq, m: int, root: int) -> RootedTree:
+    """tree_from_prufer for digits and root already known to be below m.
+
+    Linear time: the smallest leaf is tracked with a forward pointer, and
+    a node that becomes a leaf below the pointer is removed at once.
+    The tree comes out rooted at m-1, the node never removed.
+    """
     degree = [1] * m
     for v in seq:
         degree[v] += 1
@@ -98,7 +108,7 @@ def tree_from_prufer(seq, m: int, root: int) -> RootedTree:
             ptr = degree.index(1, ptr + 1)
             leaf = ptr
     _reroot(parents, root)
-    return RootedTree(tuple(parents), root)
+    return RootedTree._make((tuple(parents), root))
 
 
 def prufer_sequence(tree: RootedTree) -> list[int]:
@@ -134,25 +144,30 @@ def sample_tree(m: int, rng) -> RootedTree:
     """Uniform over the m^(m-1) rooted labeled trees: a root, then m-2 Prufer digits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    getrandbits = rng.getrandbits
-    root = randbelow(getrandbits, m)
-    return tree_from_prufer([randbelow(getrandbits, m) for _ in range(m - 2)], m, root)
+    draws = randbelow_list(rng.getrandbits, m, max(1, m - 1))  # the root, then the digits
+    return _prufer_tree(draws[1:], m, draws[0])
 
 
 def sample_key(m: int, rng) -> CipherKey:
     """Uniform key: tree, i.i.d. fair flip bits, uniform peer assignment.
 
     The rng draws are those of m calls rng.randrange(2) and then
-    rng.shuffle(list(range(m))), bit for bit (see field.randbelow).
+    rng.shuffle(list(range(m))), bit for bit (see field.randbelow). The
+    key skips CipherKey's checks: the flips are 0/1 draws and the
+    assignment is a shuffle of range(m).
     """
     tree = sample_tree(m, rng)
     getrandbits = rng.getrandbits
-    flips = tuple(randbelow(getrandbits, 2) for _ in range(m))
+    flips = tuple(randbelow_list(getrandbits, 2, m))
     assignment = list(range(m))
     for i in range(m - 1, 0, -1):
-        j = randbelow(getrandbits, i + 1)
+        # randbelow(getrandbits, i + 1), inlined
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
         assignment[i], assignment[j] = assignment[j], assignment[i]
-    return CipherKey(tree, flips, tuple(assignment))
+    return CipherKey._make((tree, flips, tuple(assignment)))
 
 
 def encode_values(values, key: CipherKey, mask: int) -> list[int]:
@@ -292,7 +307,10 @@ def deserialize_key(data: bytes, m: int) -> CipherKey:
     """Invert serialize_key.
 
     Raises KeyDecodeError unless data is key_nbytes(m) bytes holding an
-    index below key_space(m); every such index decodes to a key.
+    index below key_space(m); every such index decodes to a key. That
+    check is the only one: each digit is a remainder below its base, so
+    the tree and the key are built without RootedTree's and CipherKey's
+    checks.
     """
     if len(data) != key_nbytes(m):
         raise KeyDecodeError(f"expected {key_nbytes(m)} bytes for m={m}, got {len(data)}")
@@ -311,4 +329,4 @@ def deserialize_key(data: bytes, m: int) -> CipherKey:
     seq = [0] * max(0, m - 2)
     for i in range(len(seq) - 1, -1, -1):
         index, seq[i] = divmod(index, m)
-    return CipherKey(tree_from_prufer(seq, m, root), flips, assignment)
+    return CipherKey._make((_prufer_tree(seq, m, root), flips, assignment))

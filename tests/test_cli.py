@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -152,6 +153,16 @@ def test_exhausted_nonce_space_exits_2(capsys, bits):
                                    "--trials", "2", "--seed", "1")
     assert code == 2
     assert stdout == "" and stderr.startswith(f"error: no nonce in 2^{bits} met fraction ")
+
+
+def test_zero_mining_threshold_exits_2_at_once(capsys):
+    # 2^-10 and 2^-12 of 2^8 round to a threshold of 0, which no hash meets;
+    # mining it would walk all 2^32 nonces (about 40 minutes) before raising
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(capsys, "mining", "--hash-width", "8", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert stdout == "" and stderr.startswith("error: ") and "threshold of 0" in stderr
 
 
 def test_nonce_space_of_2_to_the_12_completes(capsys):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoned_ledger.errors import ConfigurationError
-from zoned_ledger.field import Field, is_prime, next_prime, randbelow
-from zoned_ledger.ledger import share_field
+from zoned_ledger.field import Field, is_prime, next_prime, randbelow, randbelow_list
+from zoned_ledger.ledger import hash_nbytes, share_field
+from zoned_ledger.tree_cipher import key_nbytes
 
 SHARE_MODULI = [share_field(m, 64).modulus for m in (4, 8, 16)]  # 81, 113 and 193 bits
 
@@ -52,6 +53,51 @@ def test_next_prime():
     assert next_prime(2**16) == 65537
     assert next_prime(1) == 2
     assert is_prime(next_prime(2**64))
+
+
+def plain_next_prime(n):
+    """next_prime without its small-factor gcd: is_prime on every odd candidate."""
+    if n < 2:
+        return 2
+    c = n + 1 if n % 2 == 0 else n + 2
+    while not is_prime(c):
+        c += 2
+    return c
+
+
+def test_next_prime_matches_the_plain_loop_below_5000():
+    assert [next_prime(n) for n in range(5000)] == [plain_next_prime(n) for n in range(5000)]
+
+
+# the byte lengths of the share fields of zones of m = 1..64 at hash width 64
+SHARE_FIELD_BYTES = sorted({key_nbytes(m) + hash_nbytes(64) for m in range(1, 65)})
+
+
+@pytest.mark.parametrize("nbytes", SHARE_FIELD_BYTES)
+def test_next_prime_matches_the_plain_loop_at_share_field_sizes(nbytes):
+    assert next_prime(2 ** (8 * nbytes)) == plain_next_prime(2 ** (8 * nbytes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 16]
+                         + SHARE_MODULI + [q - 1 for q in SHARE_MODULI])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 40])
+def test_randbelow_list_draws_what_repeated_randbelow_draws(n, count):
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert randbelow_list(ours.getrandbits, n, count) == \
+            [randbelow(theirs.getrandbits, n) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_randbelow_of_one_still_draws_bits():
+    # randrange(1) draws one bit and redraws a 1, so a draw below 1 moves the stream
+    ours, theirs = random.Random(3), random.Random(3)
+    assert randbelow(ours.getrandbits, 1) == 0
+    assert randbelow_list(ours.getrandbits, 1, 5) == [0] * 5
+    assert ours.getstate() != random.Random(3).getstate()
+    for _ in range(6):
+        theirs._randbelow(1)
+    assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 16]

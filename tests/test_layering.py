@@ -1,10 +1,14 @@
-"""ChainState is the only writer of zone records.
+"""ChainState is the only writer of zone records, and tree_cipher the only
+builder of unchecked keys.
 
 Outside ledger.py no library module touches a private of ChainState (or
 of any name `state`), assigns a record's share or fragment, or assigns or
 deletes an item of any `<x>.records`; inside it, new records are built only
 where zones are stored and snapshots loaded. The decode memo relies on this:
 ChainState's writers drop the memo entry of every zone they change.
+
+RootedTree._make and CipherKey._make build a tree or key without its
+checks; only tree_cipher.py may call them, on values it built itself.
 """
 
 import ast
@@ -16,6 +20,7 @@ import zoned_ledger
 
 SRC = Path(zoned_ledger.__file__).parent
 RECORD_FIELDS = {"share", "fragment"}
+KEY_TYPES = {"RootedTree", "CipherKey"}
 
 
 def _tree(name):
@@ -105,3 +110,30 @@ def test_records_are_built_only_where_zones_are_stored_or_snapshots_loaded():
 ])
 def test_the_check_catches_what_it_forbids(source):
     assert layering_violations(ast.parse(source))
+
+
+def unchecked_key_builds(tree):
+    """(line, text) for each use of RootedTree._make or CipherKey._make."""
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_make"
+            and (isinstance(node.value, ast.Name) and node.value.id in KEY_TYPES
+                 or isinstance(node.value, ast.Attribute) and node.value.attr in KEY_TYPES)]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "tree_cipher.py"))
+def test_only_tree_cipher_builds_keys_without_their_checks(name):
+    assert unchecked_key_builds(_tree(name)) == []
+
+
+@pytest.mark.parametrize("source", [
+    "key = CipherKey._make((tree, flips, assignment))",
+    "tree_cipher.RootedTree._make((parents, root))",
+    "make = zoned_ledger.tree_cipher.CipherKey._make",
+])
+def test_the_key_check_catches_what_it_forbids(source):
+    assert unchecked_key_builds(ast.parse(source))
+
+
+def test_tree_cipher_is_where_keys_are_built_without_checks():
+    assert unchecked_key_builds(_tree("tree_cipher.py"))

@@ -25,6 +25,19 @@ def test_target_validation():
         DifficultyTarget(4, 0.5)
 
 
+@pytest.mark.parametrize("width,fraction", [(8, 2**-10), (8, 2**-9), (64, 1e-30),
+                                            (256, 2**-258)])
+def test_target_with_a_zero_threshold_rejected(width, fraction):
+    # round(fraction * 2^width) == 0 (2^-9 of 2^8 is one half, which rounds to even)
+    with pytest.raises(ConfigurationError, match="threshold of 0"):
+        DifficultyTarget(width, fraction)
+
+
+def test_smallest_nonzero_threshold_accepted():
+    assert DifficultyTarget(8, 2**-8).threshold == 1
+    assert DifficultyTarget(8, 3 * 2**-10).threshold == 1
+
+
 def test_fraction_one_always_first_try():
     rng = random.Random(0)
     target = DifficultyTarget(64, 1.0)

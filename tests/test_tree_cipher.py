@@ -202,6 +202,14 @@ def test_rooted_tree_rejects_bad_parents(parents, root):
         RootedTree(parents, root)
 
 
+@pytest.mark.parametrize("flips,assignment", [((0, 2, 1), (0, 1, 2)), ((0, 1), (0, 1, 2)),
+                                               ((0, 0, 0), (0, 1, 1)), ((0, 0, 0), (0, 1, 3)),
+                                               ((0, 0, 0), (0, 1))])
+def test_cipher_key_rejects_bad_flips_or_assignment(flips, assignment):
+    with pytest.raises(ValueError):
+        CipherKey(RootedTree((0, 0, 1), 0), flips, assignment)
+
+
 def reference_is_rooted_tree(parents, root):
     """The O(m * depth) check: every node's walk up reaches root within m hops."""
     m = len(parents)
@@ -350,6 +358,36 @@ def test_every_index_below_key_space_is_a_key(m_index):
 def test_index_at_or_past_key_space_rejected(m, past):
     with pytest.raises(KeyDecodeError):
         deserialize_key(_index_bytes(key_space(m) + past, m), m)
+
+
+def revalidated(key):
+    """key rebuilt through the checks of RootedTree and CipherKey, which raise if it is malformed."""
+    return CipherKey(RootedTree(*key.tree), key.flips, key.assignment)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_every_decoded_key_passes_the_checks_it_skips(m):
+    for index in range(key_space(m)):
+        key = deserialize_key(_index_bytes(index, m), m)
+        assert type(key) is CipherKey and type(key.tree) is RootedTree
+        assert revalidated(key) == key
+
+
+@given(st.integers(5, 16).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, key_space(m) - 1))))
+def test_decoded_keys_pass_the_checks_they_skip(m_index):
+    m, index = m_index
+    key = deserialize_key(_index_bytes(index, m), m)
+    assert revalidated(key) == key
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_sampled_keys_pass_the_checks_they_skip(m):
+    rng = random.Random(m)
+    for _ in range(200):
+        key = sample_key(m, rng)
+        assert type(key) is CipherKey and type(key.tree) is RootedTree
+        assert revalidated(key) == key
 
 
 @given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.one_of(
