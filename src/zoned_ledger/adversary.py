@@ -23,7 +23,8 @@ from .tree_cipher import CipherKey, corruption_oracle, sample_key
 from .zones import allocation_at, layout
 
 
-# Coins per availability draw: caps the array at 0.5 MB of float64 for any trials × n.
+# Coins per availability draw: caps the array at 0.5 MB of float64 for any trials × n
+# with m <= 2^16 (a draw holds whole zones, so at most max(2^16, m) coins).
 _DRAW_BLOCK = 2**16
 
 
@@ -198,8 +199,10 @@ def availability_trial(n: int, m: int, rho: float, trials: int, seed: int) -> Tr
     """Each peer inactive i.i.d. w.p. rho; success iff some zone fully active.
 
     The coins are drawn in blocks of about _DRAW_BLOCK values, so memory is
-    O(block), not O(trials × n). Generator.random fills doubles in stream
-    order, so the blocks draw the same values as one (trials, n) call.
+    O(block), not O(trials × n): whole trials while n fits in a block, and
+    for a wider n one trial at a time in zone-aligned column blocks whose
+    zone results are ORed. Generator.random fills doubles in stream order,
+    so the blocks draw the same values as one (trials, n) call.
     """
     layout(n, m)
     if not 0 <= rho < 1:
@@ -208,11 +211,15 @@ def availability_trial(n: int, m: int, rho: float, trials: int, seed: int) -> Tr
     import numpy as np  # here, not at module top: it costs ~0.15 s and nothing else uses it
     gen = np.random.default_rng(seed)
     rows = max(1, _DRAW_BLOCK // n)
+    cols = max(m, _DRAW_BLOCK // m * m)  # >= n if n <= _DRAW_BLOCK, so only rows of 1 split
     successes = 0
     for start in range(0, trials, rows):
         k = min(rows, trials - start)
-        active = gen.random((k, n)) >= rho
-        successes += int(active.reshape(k, n // m, m).all(axis=2).any(axis=1).sum())
+        alive = np.zeros(k, dtype=bool)
+        for col in range(0, n, cols):
+            active = gen.random((k, min(cols, n - col))) >= rho
+            alive |= active.reshape(k, -1, m).all(axis=2).any(axis=1)
+        successes += int(alive.sum())
     return _summary(trials, successes, availability_closed_form(n, m, rho), seed)
 
 

@@ -2,9 +2,10 @@
 
 Elements are plain Python ints reduced modulo the field prime; the
 ``Field`` object carries the modulus so values stay lightweight.
-Lagrange interpolation takes one modular inversion per call, however
-many points it is given. ``randbelow`` draws uniform ints from the same
-bits as ``random.Random.randrange``, and ``randbelow_list`` a run of them.
+Horner evaluation reduces once, at its end; barycentric interpolation
+takes one ``math.prod`` per weight and one inversion per call.
+``randbelow`` draws uniform ints from the same bits as
+``random.Random.randrange``, and ``randbelow_list`` a run of them.
 """
 
 import math
@@ -116,20 +117,21 @@ class Field:
         return randbelow(rng.getrandbits, self.modulus)
 
     def eval_poly(self, coeffs, x: int) -> int:
-        """Evaluate sum(coeffs[i] * x^i) by Horner's rule."""
+        """sum(coeffs[i] * x^i) by Horner's rule on x mod p, reduced only at the end."""
+        x %= self.modulus
         acc = 0
         for c in reversed(coeffs):
-            acc = (acc * x + c) % self.modulus
-        return acc
+            acc = acc * x + c
+        return acc % self.modulus
 
     def lagrange_interpolate(self, points, x0: int) -> int:
         """Value at x0 of the unique degree-(len-1) polynomial through points.
 
-        points is a sequence of (x, y) pairs with distinct x. The
-        numerators prod_{j != i}(x0 - x_j) come from prefix and suffix
-        products, and all the denominators prod_{j != i}(x_i - x_j) are
-        inverted together (Montgomery's trick): one modular inversion
-        per call.
+        points holds (x, y) pairs with x distinct mod p. Barycentric form:
+        f(x0) = prod_j (x0 - x_j) * sum_i y_i / d_i, where each
+        d_i = (x0 - x_i) * prod_{j != i} (x_i - x_j) is one math.prod,
+        and the d_i are inverted together (Montgomery's trick). At a
+        node x0 = x_i, f(x0) = y_i.
         """
         if not points:
             raise ValueError("need at least one point")
@@ -137,34 +139,26 @@ class Field:
         xs = [x % mod for x, _ in points]
         if len(set(xs)) != len(xs):
             raise ValueError("duplicate abscissa in interpolation points")
-        k = len(xs)
-        nums = [1] * k
-        acc = 1
-        for i, xi in enumerate(xs):
-            nums[i] = acc
-            acc = acc * (x0 - xi) % mod
-        acc = 1
-        for i in range(k - 1, -1, -1):
-            nums[i] = nums[i] * acc % mod
-            acc = acc * (x0 - xs[i]) % mod
+        x0 %= mod
+        if x0 in xs:
+            return points[xs.index(x0)][1] % mod
         dens = []
         below = []  # below[i] = dens[0] * ... * dens[i-1]
         acc = 1
-        for xi in xs:
-            den = 1
-            for xj in xs:
-                if xj != xi:
-                    den = den * (xi - xj) % mod
+        for i, xi in enumerate(xs):
+            diffs = [xi - xj for xj in xs]
+            diffs[i] = x0 - xi
+            den = math.prod(diffs) % mod
             dens.append(den)
             below.append(acc)
             acc = acc * den % mod
-        inv = pow(acc, -1, mod)  # inverse of dens[0] * ... * dens[k-1]
+        inv = pow(acc, -1, mod)  # inverse of the product of all the dens
         total = 0
-        for i in range(k - 1, -1, -1):
+        for i in range(len(xs) - 1, -1, -1):
             # here inv is the inverse of dens[0] * ... * dens[i]
-            total += points[i][1] * nums[i] * inv * below[i] % mod
+            total += points[i][1] * (inv * below[i] % mod)
             inv = inv * dens[i] % mod
-        return total % mod
+        return math.prod([x0 - xj for xj in xs]) % mod * total % mod
 
 
 @cache

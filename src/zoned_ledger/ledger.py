@@ -20,6 +20,7 @@ from .errors import ConfigurationError, SlotError, SnapshotError, UnrepairableEr
 from .field import Field, prime_field
 
 GENESIS_HASH = 0
+SNAPSHOT_FORMAT = 1  # the config line's "format"; snapshot_load reads no other
 
 hash_field = prime_field  # the prime field just above 2^width holds every width-bit hash
 
@@ -264,7 +265,7 @@ def snapshot_save(state: ChainState, path) -> None:
     cfg = state.config
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
-            "type": "config", "n": cfg.n, "m": cfg.m,
+            "type": "config", "format": SNAPSHOT_FORMAT, "n": cfg.n, "m": cfg.m,
             "block_bytes": cfg.block_bytes, "hash_width": cfg.hash_width,
         }, sort_keys=True) + "\n")
         for t, payload in enumerate(state.payloads):
@@ -319,11 +320,16 @@ def _hex(line: dict, name: str) -> bytes:
 
 
 def snapshot_load(path) -> ChainState:
-    """Read a snapshot_save file; malformed input raises SnapshotError."""
+    """Read a snapshot_save file of SNAPSHOT_FORMAT; other input raises SnapshotError."""
     with open(path, encoding="utf-8") as fh:
         header = _parse(fh.readline())
         if header.get("type") != "config":
             raise SnapshotError("snapshot must start with a config line")
+        version = header.get("format")
+        if type(version) is not int or version != SNAPSHOT_FORMAT:
+            found = "no format (unversioned)" if version is None else f"format {version!r}"
+            raise SnapshotError(f"snapshot has {found}; this version reads format "
+                                f"{SNAPSHOT_FORMAT}")
         try:
             state = ChainState(ChainConfig(**{
                 name: _required(header, name, int) for name in ChainConfig._fields}))

@@ -131,9 +131,11 @@ def one_shot_availability_successes(n, m, rho, trials, seed):
 
 
 @pytest.mark.parametrize("n,m,trials", [(16, 4, 10_000), (64, 4, 2048), (24, 4, 1),
-                                        (2**16 + 4, 4, 3)],
+                                        (2**16 + 4, 4, 3), (2**16 + 8, 12, 2),
+                                        (3 * 2**16, 8, 2)],
                          ids=["partial_last_block", "exact_multiple", "fewer_trials_than_rows",
-                              "one_row_per_block"])
+                              "one_row_per_block", "zone_aligned_column_blocks",
+                              "whole_column_blocks"])
 def test_availability_trial_matches_one_shot_draw(n, m, trials):
     for seed, rho in [(1, 0.5), (7, 0.05)]:
         s = availability_trial(n, m, rho, trials, seed)
@@ -150,6 +152,18 @@ def test_availability_trial_memory_does_not_grow_with_trials():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20  # a one-shot (10^6, 16) float64 draw alone is 128 MB
+
+
+def test_availability_trial_memory_does_not_grow_with_n():
+    import numpy.random  # noqa: F401  loaded before tracing: measure the draw, not the import
+    availability_trial(16, 4, 0.5, 1, seed=0)
+    tracemalloc.start()
+    try:
+        availability_trial(2**20, 4, 0.5, 2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # a one-row (1, 2^20) float64 draw alone is 8 MB
 
 
 @pytest.mark.parametrize("trial", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from zoned_ledger.errors import ConfigurationError
 from zoned_ledger.field import Field, is_prime, next_prime, randbelow, randbelow_list
 from zoned_ledger.ledger import hash_nbytes, share_field
+from zoned_ledger.shamir import reconstruct_bytes, split_bytes
 from zoned_ledger.tree_cipher import key_nbytes
 
 SHARE_MODULI = [share_field(m, 64).modulus for m in (4, 8, 16)]  # 81, 113 and 193 bits
@@ -182,3 +183,83 @@ def test_interpolation_rejects_abscissas_equal_mod_p(data):
     xs.insert(data.draw(st.integers(0, len(xs))), twin)
     with pytest.raises(ValueError, match="duplicate abscissa"):
         f.lagrange_interpolate([(x, 1) for x in xs], 0)
+
+
+# Oracles that share no code with the kernels under test: evaluation as a sum of
+# modular powers, and interpolation as it stood before the barycentric kernel.
+def reference_eval(q, coeffs, x):
+    return sum(c * pow(x, i, q) for i, c in enumerate(coeffs)) % q
+
+
+def reference_interpolate(q, points, x0):
+    """Prefix/suffix numerators and a k^2 loop of denominators, one inversion."""
+    xs = [x % q for x, _ in points]
+    k = len(xs)
+    nums = [1] * k
+    acc = 1
+    for i, xi in enumerate(xs):
+        nums[i] = acc
+        acc = acc * (x0 - xi) % q
+    acc = 1
+    for i in range(k - 1, -1, -1):
+        nums[i] = nums[i] * acc % q
+        acc = acc * (x0 - xs[i]) % q
+    dens, below, acc = [], [], 1
+    for xi in xs:
+        den = 1
+        for xj in xs:
+            if xj != xi:
+                den = den * (xi - xj) % q
+        dens.append(den)
+        below.append(acc)
+        acc = acc * den % q
+    inv = pow(acc, -1, q)
+    total = 0
+    for i in range(k - 1, -1, -1):
+        total += points[i][1] * nums[i] * inv * below[i] % q
+        inv = inv * dens[i] % q
+    return total % q
+
+
+# every field is paired with the largest k drawn in it: k = 1..m in a zone's share field
+_KERNEL_FIELDS = [(q, min(q, 16)) for q in _MODULI] + \
+    [(share_field(m, 64).modulus, m) for m in range(2, 65, 2)]
+_ANY_INT = st.integers(-2**1000, 2**1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_poly_matches_the_sum_of_powers(data):
+    q, max_k = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    coeffs = data.draw(st.lists(_ANY_INT, min_size=0, max_size=max_k))
+    x = data.draw(st.one_of(st.integers(-2, 2), st.integers(-2**64, 2**64), _ANY_INT,
+                            st.integers(-2, 2).map(lambda d: q + d)))
+    assert Field(q).eval_poly(coeffs, x) == reference_eval(q, coeffs, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_interpolation_matches_the_reference_kernel(data):
+    q, max_k = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    k = data.draw(st.integers(1, max_k))
+    xs = _abscissas(data, q, k)
+    points = [(x, data.draw(st.one_of(st.integers(0, q - 1), _ANY_INT))) for x in xs]
+    node = data.draw(st.sampled_from(xs))
+    x0 = data.draw(st.one_of(st.just(0), st.just(node), st.just(node + q), st.just(node - q),
+                             _ANY_INT))
+    assert Field(q).lagrange_interpolate(points, x0) == reference_interpolate(q, points, x0)
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 64])
+def test_zone_secret_round_trips_through_split_and_reconstruct_bytes(m):
+    # the ledger's sharing: the serialized key and a 64-bit hash, m-of-m below 2^64
+    nbytes = key_nbytes(m) + hash_nbytes(64)
+    q = share_field(m, 64).modulus
+    rng = random.Random(m)
+    for _ in range(10):
+        secret = rng.randbytes(nbytes)
+        shares = split_bytes(secret, m, m, rng, 2**64)
+        assert all(0 < x < 2**64 and 0 <= y < q for x, y in shares)
+        rng.shuffle(shares)
+        assert reconstruct_bytes(shares, m, nbytes) == secret
+        assert reference_interpolate(q, shares, 0) == int.from_bytes(secret, "big")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -12,7 +13,7 @@ from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
 from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
                                  SlotError, SnapshotError, UnrepairableError)
 from zoned_ledger.field import Field
-from zoned_ledger.ledger import (GENESIS_HASH, ChainConfig, ChainState,
+from zoned_ledger.ledger import (GENESIS_HASH, SNAPSHOT_FORMAT, ChainConfig, ChainState,
                                  hash_field, hash_step, share_field,
                                  snapshot_load, snapshot_save,
                                  storage_cost_formula)
@@ -330,6 +331,39 @@ def test_snapshot_round_trip(tmp_path):
     lines[0] = json.dumps({**json.loads(lines[0]), "seed": 12}, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
     assert snapshot_load(path).records == state.records
+
+
+def test_snapshot_of_a_pinned_chain_has_pinned_bytes_and_loads_back(tmp_path):
+    # a change to the file's bytes must come with a new SNAPSHOT_FORMAT
+    state, _ = make_chain(n=8, m=4, block_bytes=16, blocks=3, seed=12)
+    path = tmp_path / "chain.jsonl"
+    snapshot_save(state, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "faf1be2eee758fefc88d872ee451e27b396638151efb74fc68a993781651cacd"
+    assert json.loads(path.read_text().splitlines()[0])["format"] == SNAPSHOT_FORMAT == 1
+    loaded = snapshot_load(path)
+    assert (loaded.payloads, loaded.hashes, loaded.records) == \
+        (state.payloads, state.hashes, state.records)
+
+
+@pytest.mark.parametrize("version,found", [
+    (None, "no format (unversioned)"), (0, "format 0"), (2, "format 2"), ("1", "format '1'"),
+    (True, "format True"), (1.0, "format 1.0"),
+], ids=["missing", "older", "newer", "str", "bool", "float"])
+def test_snapshot_load_rejects_another_format_before_any_record(tmp_path, version, found):
+    state, _ = make_chain(n=8, m=4, blocks=1, seed=12)
+    path = tmp_path / "chain.jsonl"
+    snapshot_save(state, path)
+    header = json.loads(path.read_text().splitlines()[0])
+    if version is None:
+        del header["format"]
+    else:
+        header["format"] = version
+    # a record the loader would refuse, so the error shows it read no record
+    path.write_text(json.dumps(header) + "\n" + '{"type": "record"}\n')
+    with pytest.raises(SnapshotError, match=rf"snapshot has {re.escape(found)}; "
+                                            rf"this version reads format 1$"):
+        snapshot_load(path)
 
 
 @pytest.mark.parametrize("edit", [

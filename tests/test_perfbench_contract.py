@@ -6,8 +6,9 @@ smoke size, untraced and then again under the tracer, and checks what a
 benchmark run checks: no output check fails, the traced round gives the
 same outputs, every zone encoding draws one fresh key, and of the fault
 probes only ``probe_repair_after_rewrite`` (the first-donor repair rule)
-fails. It also pins the interpolations of a traced contested round, so a
-change that decodes a zone again fails here without any timing.
+fails. It also pins the field-kernel calls of traced rounds, so a change
+that decodes a zone again, or hides a kernel from the tracer, fails here
+without any timing.
 """
 
 import importlib
@@ -54,16 +55,32 @@ def test_workload_round_at_smoke_size(perfbench, name):
     assert failed <= {"probe_repair_after_rewrite"}
 
 
-def test_contested_round_decodes_each_zone_once_per_ledger_state(perfbench):
-    # 115 interpolations when every recovery and repair decoded afresh
-    workloads, tracer_module = perfbench["workloads"], perfbench["tracer"]
-    wl = workloads.WORKLOADS["churn-contested"](smoke=True)
-    tracer = tracer_module.Tracer(zoned_ledger)
+def traced_round(perfbench, name):
+    """One traced smoke-size round of workload name: (round, tracer)."""
+    wl = perfbench["workloads"].WORKLOADS[name](smoke=True)
+    tracer = perfbench["tracer"].Tracer(zoned_ledger)
     tracer.install()
     try:
         traced = wl.run_round(SEED, tracer)
     finally:
         tracer.uninstall()
     assert traced.errors == []
+    return traced, tracer
+
+
+def test_contested_round_decodes_each_zone_once_per_ledger_state(perfbench):
+    # 115 interpolations when every recovery and repair decoded afresh
+    traced, tracer = traced_round(perfbench, "churn-contested")
     assert traced.figures["slots_scanned"] == 17
     assert tracer.calls["field.lagrange_interpolate"] == 54
+
+
+@pytest.mark.parametrize("name,evaluations,interpolations",
+                         [("chain-wide", 72, 18), ("churn-contested", 260, 54)])
+def test_traced_round_makes_the_pinned_field_kernel_calls(perfbench, name, evaluations,
+                                                          interpolations):
+    # one Horner evaluation per share and one interpolation per zone decode; a split
+    # that evaluates its polynomial inline, where the tracer cannot see it, fails here
+    _, tracer = traced_round(perfbench, name)
+    assert tracer.calls["field.eval_poly"] == evaluations
+    assert tracer.calls["field.lagrange_interpolate"] == interpolations
