@@ -206,7 +206,9 @@ def _apply_config_file(args) -> None:
     for key, value in defaults.items():
         attr = key.replace("-", "_")
         ftype = args._types.get(attr)
-        if ftype and value is not None:
+        if ftype is None:
+            raise ConfigurationError(f"config key {key!r} is no flag of {args.command!r}")
+        if value is not None:
             if type(value) not in JSON_TYPES[ftype]:  # no bool for an int flag
                 raise ConfigurationError(
                     f"config key {key!r} must be a JSON {ftype.__name__}, got {value!r}")

@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class InsufficientSharesError(ValueError):
-    """Fewer shares supplied than the reconstruction threshold."""
+    """Fewer shares, or fewer distinct abscissas, than the threshold."""
 
 
 class KeyDecodeError(ValueError):

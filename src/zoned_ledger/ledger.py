@@ -37,7 +37,11 @@ def share_field(m: int, width: int) -> Field:
 
 def hash_step(prev: int, payload: bytes, width: int = 64) -> int:
     """SHA-256 of (prev hash bits || payload), truncated to width bits."""
-    prev_bytes = prev.to_bytes(hash_nbytes(width), "big")
+    try:
+        prev_bytes = prev.to_bytes(hash_nbytes(width), "big")
+    except OverflowError:  # negative, or past the hash's bytes
+        raise ConfigurationError(
+            f"prev hash {prev} does not fit in {hash_nbytes(width)} bytes") from None
     digest = hashlib.sha256(prev_bytes + payload).digest()
     return int.from_bytes(digest, "big") >> (256 - width)
 

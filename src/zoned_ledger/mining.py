@@ -71,7 +71,10 @@ def mine(prev_data: bytes, target: DifficultyTarget, nonce_bits: int,
     """
     width = target.hash_width_bits
     threshold = target.threshold
-    space = 1 << nonce_bits
+    try:
+        space = 1 << nonce_bits
+    except ValueError:  # a negative shift count
+        raise ConfigurationError(f"nonce_bits must be >= 0, got {nonce_bits}") from None
     start = rng.randrange(space)
     # threshold == 2**width (every hash meets it) and a one-nonce space are
     # both settled here, so the bound below fits in 32 bytes when it is needed
@@ -121,7 +124,10 @@ def mining_cost_law(p_bits: int, pprime_fraction: float, q_bits: int) -> float:
     """
     if not 0 < pprime_fraction <= 1:
         raise ConfigurationError("pprime_fraction must be in (0, 1]")
-    total = 1 << q_bits
+    try:
+        total = 1 << q_bits
+    except ValueError:  # a negative shift count
+        raise ConfigurationError(f"q_bits must be >= 0, got {q_bits}") from None
     blue = Fraction(pprime_fraction) * total
     return float(Fraction(total + 1) / (blue + 1))
 

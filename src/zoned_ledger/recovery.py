@@ -1,16 +1,16 @@
 """Block retrieval with hash-consistency elimination and majority vote.
 
-Every zone decodes its stored copy of the requested block, together
-with the previous hash it shares, in one decode. If the candidates
-disagree, the chain suffix is scanned. Every read goes through
-``ChainState.cached_decode``, so a (slot, zone) is decoded at most once
-while its records are unchanged, across calls. The scan decides per
-group of m/2 peers, which share every zone: for each surviving group,
-the hash recomputed from its slot-tau zone's block and previous hash is
-compared against the hash its slot-(tau+1) zone shares; mismatching
-groups are eliminated, as are the groups of a zone that decodes its
-block but shares no valid previous hash. The majority among surviving
-peers' zone candidates wins.
+Every zone decodes its stored copy of block t and the previous hash it
+shares in one decode, through ``ChainState.cached_decode``, so a (slot,
+zone) is decoded at most once while its records are unchanged, across
+calls. Peers fall into groups of m/2, which share every zone. While the
+voting groups' candidates disagree, the scan makes one pass over them per
+slot tau > t: H_{tau-1} is recomputed once per slot-(tau-1) zone, and a
+group is dropped when that zone decodes a block but shares no valid
+H_{tau-2}, or when its recomputed hash differs from the H_{tau-1} that
+the group's slot-tau zone shares. Each surviving group votes for its
+slot-t zone's candidate, which picks the winner a vote of its m/2 peers
+would; the full-replication baseline takes its majority by the same rule.
 """
 
 import json
@@ -39,62 +39,54 @@ class RecoveryReport(namedtuple(
         }, sort_keys=True)
 
 
+def _majority(votes: Counter, t: int):
+    """The value with the most votes; AmbiguousRecoveryError if two share the most."""
+    ranked = votes.most_common(2)
+    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+        raise AmbiguousRecoveryError(f"majority tie while recovering slot {t}")
+    return ranked[0][0]
+
+
 def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> RecoveryReport:
     """Recover block t; scan at most scan_limit slots for consistency (0: vote only)."""
-    if not 0 <= t < state.num_blocks:
-        raise SlotError(f"slot {t} not committed")
     if scan_limit is not None and scan_limit < 0:
         raise ConfigurationError(f"scan_limit must be None or >= 0, got {scan_limit}")
     cfg, lay = state.config, state.layout
     n_zones = cfg.n // cfg.m
-    zones_t = zones_tau = {g: zone_of_group(lay, t, g) for g in range(lay.num_groups)}
     decoded = [state.cached_decode(t, z) for z in range(n_zones)]  # (block, H_{t-1})
     candidates = {z: block for z, (block, _) in enumerate(decoded)}
     if all(c is None for c in candidates.values()):
         raise UnrecoverableError(f"no zone can decode slot {t}")
 
-    distinct = {c for c in candidates.values() if c is not None}
-    active, eliminated, scanned = set(zones_t), set(), 0
-    if len(distinct) > 1:
-        last_tau = state.num_blocks - 2
-        if scan_limit is not None:
-            last_tau = min(last_tau, t + scan_limit - 1)
-        for tau in range(t, last_tau + 1):
-            zones_next = {g: zone_of_group(lay, tau + 1, g) for g in active}
-            following = [state.cached_decode(tau + 1, z) for z in range(n_zones)]
-            recomputed = {
-                z: hash_step(prev, block, cfg.hash_width)
-                for z, (block, prev) in enumerate(decoded)
-                if block is not None and prev is not None
-            }
-            dropped = set()
-            for g in active:
-                z = zones_tau[g]
-                block, prev = decoded[z]
-                if block is not None and prev is None:
-                    dropped.add(g)  # decodes a block, but no H_{tau-1} to chain it to
-                    continue
-                next_hash = following[zones_next[g]][1]  # H_tau as slot tau + 1 shares it
-                if z in recomputed and next_hash is not None and recomputed[z] != next_hash:
-                    dropped.add(g)
-            active -= dropped
-            eliminated.update(p for g in dropped for p in lay.group(g))
-            scanned += 1
-            decoded, zones_tau = following, zones_next
-            if len({candidates[zones_t[g]] for g in active} - {None}) <= 1:
-                break
+    home = {g: zone_of_group(lay, t, g) for g in range(lay.num_groups)}  # group -> zone at t
+    stop, scanned = state.num_blocks, 0
+    if scan_limit is not None:
+        stop = min(stop, t + 1 + scan_limit)
+    for tau in range(t + 1, stop):
+        if len({candidates[z] for z in home.values()} - {None}) <= 1:
+            break
+        following = [state.cached_decode(tau, z) for z in range(n_zones)]
+        recomputed = [None if block is None or prev is None
+                      else hash_step(prev, block, cfg.hash_width) for block, prev in decoded]
+        for g in list(home):
+            z = zone_of_group(lay, tau - 1, g)
+            block, prev = decoded[z]
+            if block is None:
+                continue
+            shared = following[zone_of_group(lay, tau, g)][1]  # H_{tau-1} as slot tau has it
+            if prev is None:  # no_prev_hash: a block with no H_{tau-2} to chain it to
+                del home[g]
+            elif shared is not None and recomputed[z] != shared:  # hash_mismatch
+                del home[g]
+        decoded, scanned = following, scanned + 1
 
-    votes = Counter()
-    for g in active:
-        c = candidates[zones_t[g]]
-        if c is not None:
-            votes[c] += cfg.m // 2
+    votes = Counter(candidates[z] for z in home.values())
+    del votes[None]
     if not votes:
         raise UnrecoverableError(f"all candidate zones for slot {t} were eliminated")
-    ranked = votes.most_common()
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        raise AmbiguousRecoveryError(f"majority tie while recovering slot {t}")
-    return RecoveryReport(ranked[0][0], candidates, eliminated, scanned, len(distinct) == 1)
+    eliminated = {p for g in range(lay.num_groups) if g not in home for p in lay.group(g)}
+    return RecoveryReport(_majority(votes, t), candidates, eliminated, scanned,
+                          len(set(candidates.values()) - {None}) == 1)
 
 
 class ReplicatedLedger:
@@ -129,8 +121,4 @@ def _check_baseline_slot(ledger: ReplicatedLedger, t: int) -> None:
 def recover_baseline(ledger: ReplicatedLedger, t: int) -> bytes:
     """Majority vote over the n full copies of block t."""
     _check_baseline_slot(ledger, t)
-    votes = Counter(store[t] for store in ledger.copies)
-    ranked = votes.most_common()
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        raise AmbiguousRecoveryError(f"majority tie at slot {t}")
-    return ranked[0][0]
+    return _majority(Counter(store[t] for store in ledger.copies), t)

@@ -60,7 +60,10 @@ def reconstruct(field: Field, shares, k: int) -> int:
     shares = list(shares)
     if len(shares) < k:
         raise InsufficientSharesError(f"got {len(shares)} shares, need {k}")
-    return field.lagrange_interpolate(shares[:k], 0)
+    try:
+        return field.lagrange_interpolate(shares[:k], 0)
+    except ValueError as exc:  # two of the shares at one abscissa
+        raise InsufficientSharesError(f"{exc}: fewer than {k} distinct shares") from None
 
 
 def split_bytes(secret: bytes, k: int, n: int, rng,

@@ -33,11 +33,6 @@ class GroupLayout(namedtuple("GroupLayout", "n m")):
         half = self.m // 2
         return tuple(range(g * half, (g + 1) * half))
 
-    @property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Every group, in order; builds all n peers, so only for small n."""
-        return tuple(self.group(g) for g in range(self.num_groups))
-
 
 def layout(n: int, m: int) -> GroupLayout:
     """Partition peers 0..n-1 into 2n/m consecutive groups of m/2."""

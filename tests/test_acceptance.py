@@ -157,9 +157,9 @@ def test_criterion_06_coverage_exact():
             seen = []
             for zones in allocations:
                 for z in zones:
-                    seen.append(tuple(sorted({i for i, g in enumerate(lay.groups)
-                                              if g[0] in z})))
-            g = len(lay.groups)
+                    seen.append(tuple(sorted({i for i in range(lay.num_groups)
+                                              if lay.group(i)[0] in z})))
+            g = lay.num_groups
             assert len(seen) == len(set(seen)) == g * (g - 1) // 2
 
 

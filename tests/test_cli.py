@@ -243,6 +243,20 @@ def test_config_value_of_the_wrong_json_type_exits_2(capsys, tmp_path, command, 
     assert f"config key {next(iter(config))!r}" in stderr
 
 
+@pytest.mark.parametrize("command,config", [
+    ("availability", {"n": 8, "m": 4, "trails": 5}),
+    ("coverage", {"n": 8, "rho": 0.1}),
+], ids=["typo", "flag_of_another_subcommand"])
+def test_config_key_that_is_no_flag_exits_2(capsys, tmp_path, command, config):
+    # an ignored key would leave a record that does not describe its run
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, stdout, stderr = run_cli(capsys, command, "--config", str(path), "--seed", "1")
+    assert (code, stdout) == (2, "")
+    key = list(config)[-1]
+    assert f"config key {key!r}" in stderr and repr(command) in stderr
+
+
 @pytest.mark.parametrize("content", ["[1]", '{"n": 8', None],
                          ids=["not_an_object", "truncated", "missing_file"])
 def test_malformed_config_file_exits_2(capsys, tmp_path, content):

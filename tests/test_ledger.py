@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
 from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
                                  SlotError, SnapshotError, UnrepairableError)
-from zoned_ledger.field import Field
+from zoned_ledger.field import Field, prime_field
 from zoned_ledger.ledger import (GENESIS_HASH, SNAPSHOT_FORMAT, ChainConfig, ChainState,
                                  hash_field, hash_step, share_field,
                                  snapshot_load, snapshot_save,
                                  storage_cost_formula)
+from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law
 from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct
 
@@ -234,6 +235,22 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
         else:
             state.reshare_zone(1, 0, prev_hash, rng)
     assert state.records == before
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: hash_step(2**64, b"", 64), ConfigurationError),
+    (lambda: hash_step(-1, b"", 64), ConfigurationError),
+    (lambda: reconstruct(prime_field(16), [Share(3, 1), Share(3, 2)], 2),
+     InsufficientSharesError),
+    (lambda: mine(b"", DifficultyTarget(64, 0.5), -1, random.Random(0)), ConfigurationError),
+    (lambda: mining_cost_law(64, 0.5, -1), ConfigurationError),
+], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
+        "negative_q_bits"])
+def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
+    # each of these raised a bare OverflowError or ValueError from a shift or to_bytes
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("n", [2**16, 2**40])

@@ -6,8 +6,9 @@ smoke size, untraced and then again under the tracer, and checks what a
 benchmark run checks: no output check fails, the traced round gives the
 same outputs, every zone encoding draws one fresh key, and of the fault
 probes only ``probe_repair_after_rewrite`` (the first-donor repair rule)
-fails. It also pins the field-kernel calls of traced rounds, so a change
-that decodes a zone again, or hides a kernel from the tracer, fails here
+fails. It also pins the field-kernel and ``hash_step`` calls of traced
+rounds, so a change that decodes a zone again, hashes once per group
+rather than once per zone, or hides a kernel from the tracer, fails here
 without any timing.
 """
 
@@ -84,3 +85,11 @@ def test_traced_round_makes_the_pinned_field_kernel_calls(perfbench, name, evalu
     _, tracer = traced_round(perfbench, name)
     assert tracer.calls["field.eval_poly"] == evaluations
     assert tracer.calls["field.lagrange_interpolate"] == interpolations
+
+
+@pytest.mark.parametrize("name,hash_steps", [("chain-wide", 3), ("churn-contested", 95)])
+def test_traced_round_makes_the_pinned_hash_steps(perfbench, name, hash_steps):
+    # one hash per committed block, and one per decoded zone of each scanned slot;
+    # a scan that hashes once per group instead of once per zone fails here
+    _, tracer = traced_round(perfbench, name)
+    assert tracer.calls["ledger.hash_step"] == hash_steps

@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
@@ -15,6 +15,7 @@ from zoned_ledger.ledger import (ChainConfig, ChainState, hash_step, share_field
 from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
                                    recover_block)
 from zoned_ledger.shamir import Share, split
+from zoned_ledger.zones import zone_groups
 
 
 def make_chain(n=24, m=4, block_bytes=32, blocks=8, seed=0, hash_width=64):
@@ -202,6 +203,23 @@ def test_out_of_range_previous_hash_does_not_stop_recovery(plant_first):
     assert report.slots_scanned == 1
 
 
+def test_block_with_no_valid_previous_hash_is_dropped_with_nothing_to_compare():
+    # zone 0 of slot 0 decodes a forged block but shares a hash part of 2^60 + 1,
+    # and the slot-1 zone of each of its groups has lost a record, so shares no
+    # H_0 to compare with: its groups are dropped for the missing H_{-1} alone
+    state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=6, seed=17, hash_width=60)
+    rewrite_zone_block(state, 0, 0, bytes(48), rng)
+    assert state.reshare_zone(0, 0, 2**60 + 1, rng)
+    for g in zone_groups(state.layout, 0, 0):
+        state.erase_peer_record(1, state.layout.group(g)[0])
+    assert state.zone_decode(0, 0) == (bytes(48), None)
+    report = recover_block(state, 0)
+    assert report.recovered == state.payloads[0]
+    assert report.eliminated_peers == set(state.allocation(0)[0])
+    assert report.slots_scanned == 1
+    assert_matches_reference(state, 0)
+
+
 def test_shared_value_past_the_byte_width_decodes_to_nothing():
     # a zone's shares of p - 1, with p the sharing field's prime: an element
     # of the field, but past the 10 bytes of key and hash it should fill
@@ -264,9 +282,12 @@ def test_recover_block_decodes_each_zone_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def reference_recovery(state, t):
+def reference_recovery(state, t, scan_limit=None):
     """The scan peer by peer: (recovered block or error type, eliminated peers, slots scanned)."""
     cfg = state.config
+    last = state.num_blocks - 1
+    if scan_limit is not None:
+        last = min(last, t + scan_limit)
     n_zones = cfg.n // cfg.m
 
     def zone_of_peer(tau):
@@ -277,7 +298,7 @@ def reference_recovery(state, t):
     zones_t = zone_of_peer(t)
     active, eliminated, scanned = set(range(cfg.n)), set(), 0
     if len(set(candidates) - {None}) > 1:
-        for tau in range(t, state.num_blocks - 1):
+        for tau in range(t, last):
             zones_tau, zones_next = zone_of_peer(tau), zone_of_peer(tau + 1)
             following = [state.zone_decode(tau + 1, z) for z in range(n_zones)]
             dropped = set()
@@ -300,6 +321,19 @@ def reference_recovery(state, t):
     return ranked[0][0], eliminated, scanned
 
 
+def assert_matches_reference(state, t, scan_limit=None):
+    """recover_block gives reference_recovery's block, eliminated peers and slots scanned,
+    or raises its error."""
+    recovered, eliminated, scanned = reference_recovery(state, t, scan_limit)
+    if isinstance(recovered, type):
+        with pytest.raises(recovered):
+            recover_block(state, t, scan_limit)
+    else:
+        report = recover_block(state, t, scan_limit)
+        assert (report.recovered, report.eliminated_peers, report.slots_scanned) == (
+            recovered, eliminated, scanned)
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_group_scan_matches_the_peer_by_peer_scan(seed):
     rng = random.Random(seed)
@@ -314,14 +348,7 @@ def test_group_scan_matches_the_peer_by_peer_scan(seed):
     for _ in range(rng.randrange(8)):
         state.erase_peer_record(rng.randrange(state.num_blocks), rng.randrange(n))
     for t in range(state.num_blocks):
-        recovered, eliminated, scanned = reference_recovery(state, t)
-        if isinstance(recovered, type):
-            with pytest.raises(recovered):
-                recover_block(state, t)
-            continue
-        report = recover_block(state, t)
-        assert (report.recovered, report.eliminated_peers, report.slots_scanned) == (
-            recovered, eliminated, scanned)
+        assert_matches_reference(state, t)
 
 
 def test_decode_memo_decodes_again_only_what_changed(monkeypatch):
@@ -344,11 +371,9 @@ def test_decode_memo_decodes_again_only_what_changed(monkeypatch):
     rec = state.records[last][peer]
     state.records[last][peer] = rec._replace(
         share=Share(rec.share.x, (rec.share.y + 1) % share_gf.modulus))
-    report = recover_block(state, t)
+    recover_block(state, t)
     assert calls == Counter({("zone_decode", last, 0): 1})
-    recovered, eliminated, scanned = reference_recovery(state, t)
-    assert (report.recovered, report.eliminated_peers, report.slots_scanned) == (
-        recovered, eliminated, scanned)
+    assert_matches_reference(state, t)
     # the point reads decode on every call
     calls.clear()
     for _ in range(2):
@@ -417,14 +442,7 @@ def check_memo(state):
     assert set(vars(state)["_decoded"]) <= {(t, z) for t in range(state.num_blocks)
                                             for z in range(n_zones)}
     for t in range(state.num_blocks):
-        recovered, eliminated, scanned = reference_recovery(state, t)
-        if isinstance(recovered, type):
-            with pytest.raises(recovered):
-                recover_block(state, t)
-        else:
-            report = recover_block(state, t)
-            assert (report.recovered, report.eliminated_peers, report.slots_scanned) == (
-                recovered, eliminated, scanned)
+        assert_matches_reference(state, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -438,6 +456,39 @@ def test_decode_memo_follows_every_write(chain, seed, steps):
         for step, step_seed in steps:
             state = apply_step(state, step, random.Random(step_seed), folder)
             check_memo(state)
+
+
+# a rewrite of zone 1 at slot 4, the newest, which no later slot audits: two groups each way
+TIE_EXAMPLE = ((8, 4, 16), 0, [("rewrite_zone", 5)])
+
+
+def written_chain(chain, seed, steps):
+    """A MEMO_CHAINS chain of 5 blocks after the apply_step writes of steps."""
+    n, m, block_bytes = chain
+    state, _ = make_chain(n=n, m=m, block_bytes=block_bytes, blocks=5, seed=seed)
+    with tempfile.TemporaryDirectory() as folder:
+        for step, step_seed in steps:
+            state = apply_step(state, step, random.Random(step_seed), folder)
+    return state
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MEMO_CHAINS), st.integers(0, 2**16),
+       st.lists(st.tuples(st.sampled_from(MEMO_STEPS), st.integers(0, 2**16)),
+                min_size=1, max_size=6))
+@example(*TIE_EXAMPLE)
+def test_limited_scan_matches_the_peer_by_peer_scan(chain, seed, steps):
+    state = written_chain(chain, seed, steps)
+    for scan_limit in (None, 0, 1, 2, 3):
+        for t in range(state.num_blocks):
+            assert_matches_reference(state, t, scan_limit)
+
+
+def test_tie_example_reaches_the_majority_tie():
+    state = written_chain(*TIE_EXAMPLE)
+    assert reference_recovery(state, 4)[0] is AmbiguousRecoveryError
+    with pytest.raises(AmbiguousRecoveryError, match="majority tie"):
+        recover_block(state, 4)
 
 
 def test_report_json_round_trippable():
