@@ -18,7 +18,7 @@ from . import tree_cipher
 from .errors import ConfigurationError
 from .field import prime_field
 from .ledger import ChainState, hash_step
-from .shamir import Share, split
+from .shamir import Share, reconstruct, split
 from .tree_cipher import CipherKey, corruption_oracle, sample_key
 from .zones import allocation_at, layout
 
@@ -81,10 +81,27 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> Tr
         # intercept, delta(x_hat) = 0 keeps the guessed point fixed.
         scale = (target - secret) * pow(x_hat, -1, q) % q
         forged = [Share(s.x, (s.y + scale * (x_hat - s.x)) % q) for s in known]
-        result = f.lagrange_interpolate(forged + [honest], 0)
-        if result == target:
+        if reconstruct(f, forged + [honest], m) == target:
             successes += 1
     return _summary(trials, successes, 1.0 / (q - m), seed)
+
+
+def _rewrites(m: int, per_zone_c, trials: int, seed: int) -> int:
+    """Trials in which every zone's c random peers of m can rewrite node 0. Each
+    zone draws a fresh key, then its peers; a trial stops at the first failure."""
+    if not all(1 <= c <= m for c in per_zone_c):
+        raise ConfigurationError(f"need every c in [1, {m}], got {list(per_zone_c)}")
+    _check_trials(trials)
+    rng = random.Random(seed)
+    peers = list(range(m))
+    successes = 0
+    for _ in range(trials):
+        for c in per_zone_c:
+            if not corruption_oracle(sample_key(m, rng), rng.sample(peers, c), {0}):
+                break
+        else:
+            successes += 1
+    return successes
 
 
 def zone_corruption_trial(m: int, c: int, trials: int, seed: int) -> TrialSummary:
@@ -94,19 +111,8 @@ def zone_corruption_trial(m: int, c: int, trials: int, seed: int) -> TrialSummar
     corrupting the peers holding node 0's subtree and the root. Compared
     against the c(c-1)/(m(m-1)) bound.
     """
-    if not 1 <= c <= m:
-        raise ConfigurationError("need 1 <= c <= m")
-    _check_trials(trials)
-    rng = random.Random(seed)
-    peers = list(range(m))
-    successes = 0
-    for _ in range(trials):
-        key = sample_key(m, rng)
-        corrupted = rng.sample(peers, c)
-        if corruption_oracle(key, corrupted, {0}):
-            successes += 1
     bound = c * (c - 1) / (m * (m - 1)) if m > 1 else 1.0
-    return _summary(trials, successes, bound, seed)
+    return _summary(trials, _rewrites(m, [c], trials, seed), bound, seed)
 
 
 def zone_corruption_exact(m: int, c: int) -> float:
@@ -145,21 +151,11 @@ def min_corruption_for_success(n: int, m: int, eps: float) -> float:
 
 def consistent_corruption_trial(n: int, m: int, per_zone_c, trials: int,
                                 seed: int) -> TrialSummary:
-    """Joint success of independent zone corruptions, one per attacked zone."""
+    """Joint success of independent zone corruptions: the zone trial over 1 to n/m zones."""
     layout(n, m)
-    _check_trials(trials)
-    rng = random.Random(seed)
-    peers = list(range(m))
-    successes = 0
-    for _ in range(trials):
-        ok = True
-        for c in per_zone_c:
-            key = sample_key(m, rng)
-            if not corruption_oracle(key, rng.sample(peers, c), {0}):
-                ok = False
-                break
-        if ok:
-            successes += 1
+    if not 1 <= len(per_zone_c) <= n // m:
+        raise ConfigurationError(f"need 1 to {n // m} attacked zones, got {len(per_zone_c)}")
+    successes = _rewrites(m, per_zone_c, trials, seed)
     return _summary(trials, successes, joint_corruption_bound(n, m, per_zone_c), seed)
 
 
@@ -248,11 +244,9 @@ class ConfidentialityReport(namedtuple(
 
     __slots__ = ()
 
-    def max_uniform_deviation(self, positions=None) -> float:
+    def max_uniform_deviation(self) -> float:
         uniform = 1.0 / (1 << self.fragment_bits)
-        positions = range(self.m) if positions is None else positions
-        return max(abs(p - uniform)
-                   for pos in positions for p in self.marginals[pos])
+        return max(abs(p - uniform) for row in self.marginals for p in row)
 
 
 def confidentiality_probe(m: int, leaked_peers: int, fragment_bits: int = 1,

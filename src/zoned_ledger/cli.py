@@ -70,12 +70,8 @@ def cmd_attack(args) -> int:
     records = []
     for c in range(1, args.m + 1):
         s = adversary.zone_corruption_trial(args.m, c, args.trials, args.seed + c)
-        records.append({
-            "kind": "zone_corruption", "m": args.m, "c": c,
-            "trials": s.trials, "successes": s.successes,
-            "estimate": s.estimate, "bound": s.bound,
-            "sigma": s.sigma, "seed": s.seed,
-        })
+        records.append({"kind": "zone_corruption", "m": args.m, "c": c,
+                        **s._asdict(), "sigma": s.sigma})
     rows = [("c", "estimate", "bound", "within_bound")]
     for r in sorted(records, key=lambda r: r["c"]):
         rows.append((r["c"], f"{r['estimate']:.5f}", f"{r['bound']:.5f}",

@@ -35,8 +35,10 @@ def share_field(m: int, width: int) -> Field:
     return prime_field(8 * (tree_cipher.key_nbytes(m) + hash_nbytes(width)))
 
 
-def hash_step(prev: int, payload: bytes, width: int = 64) -> int:
-    """SHA-256 of (prev hash bits || payload), truncated to width bits."""
+def hash_step(prev: int, payload: bytes, width: int) -> int:
+    """SHA-256 of (prev hash bits || payload), truncated to width bits in [8, 256]."""
+    if not 8 <= width <= 256:
+        raise ConfigurationError(f"hash width must be in [8, 256], got {width}")
     try:
         prev_bytes = prev.to_bytes(hash_nbytes(width), "big")
     except OverflowError:  # negative, or past the hash's bytes
@@ -239,7 +241,9 @@ class ChainState:
         self.encode_zone(t, z, payload, prev_hash, rng)
 
     def storage_cost_measured(self, peer: int, slot: int) -> float:
-        """Bits actually stored by one peer for one slot."""
+        """Bits actually stored by one peer for one slot; SlotError for a bad peer or slot."""
+        if not 0 <= peer < self.config.n:
+            raise SlotError(f"peer {peer} is not in range({self.config.n})")
         rec = self._slot(slot).get(peer)
         if rec is None:
             raise LookupError(f"no record for peer {peer} at slot {slot}")

@@ -89,6 +89,25 @@ def test_consistent_corruption_joint_product():
     assert s.bound == pytest.approx(joint_corruption_bound(24, 6, per_zone))
 
 
+def test_corruption_trials_keep_their_draws():
+    # Each zone draws its key, then its c peers, and a trial stops at the
+    # first zone that fails: a change of that order changes these counts.
+    assert [zone_corruption_trial(6, c, 500, 40 + c).successes
+            for c in range(1, 7)] == [0, 19, 42, 101, 215, 500]
+    assert [consistent_corruption_trial(24, 6, per_zone, 2000, seed).successes
+            for per_zone, seed in [([5, 5], 5), ([3, 4, 6], 7), ([6], 1), ([2, 6, 6, 1], 9)]
+            ] == [310, 28, 2000, 0]
+
+
+@pytest.mark.parametrize("per_zone", [[0], [7], [-1], [3, 0], [], [2] * 5],
+                         ids=["c_0", "c_past_m", "c_negative", "second_c_0", "no_zone",
+                              "past_n_over_m_zones"])
+def test_joint_trial_rejects_a_c_outside_1_to_m_or_a_zone_count_outside_1_to_n_over_m(
+        per_zone):
+    with pytest.raises(ConfigurationError):
+        consistent_corruption_trial(24, 6, per_zone, 10, 0)
+
+
 def test_dynamic_exposure_forces_full_network():
     from zoned_ledger.zones import allocation_at, layout
     # corrupt half the slot-0 zones outright

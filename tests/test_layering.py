@@ -9,6 +9,9 @@ ChainState's writers drop the memo entry of every zone they change.
 
 RootedTree._make and CipherKey._make build a tree or key without its
 checks; only tree_cipher.py may call them, on values it built itself.
+
+Every parameter of every library function is read in its body: a knob
+that changes nothing is a parameter to remove, not one to document.
 """
 
 import ast
@@ -137,3 +140,36 @@ def test_the_key_check_catches_what_it_forbids(source):
 
 def test_tree_cipher_is_where_keys_are_built_without_checks():
     assert unchecked_key_builds(_tree("tree_cipher.py"))
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) for each parameter its function never reads."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [(fn.lineno, getattr(fn, "name", "<lambda>"), p)
+                      for p in params if p not in read]
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_parameter_is_read(name):
+    assert unread_parameters(_tree(name)) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def law(p_bits, fraction):\n    return 1 / fraction",
+    "def f(x, *rest):\n    return x",
+    "def f(x, *, width=64):\n    return x",
+    "def f(x, **opts):\n    return x",
+    "def f(self, x):\n    return x",
+    "key = lambda pair: 0",
+], ids=["positional", "varargs", "keyword_only", "kwargs", "self", "lambda"])
+def test_the_parameter_check_catches_what_it_forbids(source):
+    assert unread_parameters(ast.parse(source))

@@ -17,7 +17,7 @@ from zoned_ledger.ledger import (GENESIS_HASH, SNAPSHOT_FORMAT, ChainConfig, Cha
                                  hash_field, hash_step, share_field,
                                  snapshot_load, snapshot_save,
                                  storage_cost_formula)
-from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law
+from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law, mining_hash
 from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct
 
@@ -33,7 +33,7 @@ def make_chain(n=8, m=4, block_bytes=16, blocks=4, seed=0, hash_width=64):
 
 def test_hash_step_deterministic():
     payload = b"same block twice"
-    assert hash_step(7, payload) == hash_step(7, payload)
+    assert hash_step(7, payload, 64) == hash_step(7, payload, 64)
 
 
 def test_hash_step_sensitivity():
@@ -41,9 +41,9 @@ def test_hash_step_sensitivity():
     seen = set()
     for _ in range(1000):
         payload = bytearray(rng.randbytes(24))
-        h1 = hash_step(0, bytes(payload))
+        h1 = hash_step(0, bytes(payload), 64)
         payload[rng.randrange(24)] ^= 1 << rng.randrange(8)
-        h2 = hash_step(0, bytes(payload))
+        h2 = hash_step(0, bytes(payload), 64)
         assert h1 != h2
         seen.update((h1, h2))
     assert len(seen) == 2000  # no collisions at width 64
@@ -205,6 +205,8 @@ def test_every_write_draws_distinct_width_bit_abscissas(width):
     lambda s, rng: s.erase_peer_record(0, 24),
     lambda s, rng: s.storage_cost_measured(0, -1),
     lambda s, rng: s.storage_cost_measured(0, 4),
+    lambda s, rng: s.storage_cost_measured(-1, 0),
+    lambda s, rng: s.storage_cost_measured(24, 0),
     lambda s, rng: recover_block(s, -1),
     lambda s, rng: recover_block(s, 4),
 ], ids=["records_t_neg", "records_z_past", "decode_t_neg", "decode_t_past", "decode_z_neg",
@@ -212,7 +214,7 @@ def test_every_write_draws_distinct_width_bit_abscissas(width):
         "repair_t_past", "repair_z_neg", "repair_z_past", "encode_t_past", "encode_z_past",
         "reshare_t_neg", "reshare_z_past", "erase_t_neg", "erase_t_past", "erase_peer_neg",
         "erase_peer_past", "cost_t_neg",
-        "cost_t_past", "recover_t_neg", "recover_t_past"])
+        "cost_t_past", "cost_peer_neg", "cost_peer_past", "recover_t_neg", "recover_t_past"])
 def test_slot_or_zone_out_of_range_raises_slot_error(call):
     state, rng = make_chain(n=24, m=4, block_bytes=48, blocks=4, seed=0)
     with pytest.raises(SlotError):
@@ -243,11 +245,21 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
     (lambda: reconstruct(prime_field(16), [Share(3, 1), Share(3, 2)], 2),
      InsufficientSharesError),
     (lambda: mine(b"", DifficultyTarget(64, 0.5), -1, random.Random(0)), ConfigurationError),
-    (lambda: mining_cost_law(64, 0.5, -1), ConfigurationError),
+    (lambda: mining_cost_law(0.5, -1), ConfigurationError),
+    (lambda: hash_step(0, b"", 300), ConfigurationError),
+    (lambda: hash_step(0, b"x", -8), ConfigurationError),
+    (lambda: hash_step(0, b"", 0), ConfigurationError),
+    (lambda: hash_step(0, b"", 7), ConfigurationError),
+    (lambda: mining_hash(1, -9, b"", 64), ConfigurationError),
+    (lambda: mining_hash(1, 8, b"", 300), ConfigurationError),
+    (lambda: mining_hash(1, 8, b"", 7), ConfigurationError),
 ], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
-        "negative_q_bits"])
+        "negative_q_bits", "hash_width_300", "hash_width_negative", "hash_width_0",
+        "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
+        "mining_hash_width_7"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
-    # each of these raised a bare OverflowError or ValueError from a shift or to_bytes
+    # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
+    # or (a hash width of 0 or 7) returned a hash that no chain can have
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
@@ -316,6 +328,15 @@ def test_storage_cost_measured_linear_in_block_size():
         _, formula, _ = storage_cost_formula(8 * block_bytes, 64, 4)
         deltas.add(round(measured - formula, 6))
     assert len(deltas) == 1  # constant serialization overhead, independent of L
+
+
+def test_storage_cost_measured_of_an_erased_record_is_a_lookup_error():
+    # a peer in range with no record is missing data, not a bad index
+    state, _ = make_chain(n=8, m=4, blocks=1)
+    state.erase_peer_record(0, 3)
+    with pytest.raises(LookupError) as info:
+        state.storage_cost_measured(3, 0)
+    assert not isinstance(info.value, SlotError)
 
 
 def test_records_are_replaced_not_edited():

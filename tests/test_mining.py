@@ -128,14 +128,14 @@ def test_urn_law_rejects_no_blue():
 
 
 def test_cost_law_monotone_in_difficulty():
-    laws = [mining_cost_law(64, 2**-k, 32) for k in range(0, 16, 2)]
+    laws = [mining_cost_law(2**-k, 32) for k in range(0, 16, 2)]
     assert laws == sorted(laws)
     assert laws[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cost_law_approximates_inverse_fraction():
     for k in (4, 8, 12):
-        assert mining_cost_law(64, 2**-k, 32) == pytest.approx(2**k, rel=1e-3)
+        assert mining_cost_law(2**-k, 32) == pytest.approx(2**k, rel=1e-3)
 
 
 def test_mean_tries_matches_law():
