@@ -8,7 +8,7 @@ Library layout:
 - ``zones``       cyclic zone allocation (round-robin circle method)
 - ``ledger``      hash chain, zone-coded commits, repair, storage costs
 - ``recovery``    majority retrieval with hash-consistency elimination
-- ``adversary``   corruption / availability / confidentiality experiments
+- ``adversary``   corruption and availability experiments
 - ``mining``      proof-of-work cost model and benchmarks
 - ``cli``         batch experiment runner (``zoned-ledger`` command)
 """

@@ -2,8 +2,8 @@
 
 Monte Carlo trials for hash-share corruption, zone corruption under the
 tree cipher, joint corruption across zones, exposure growth under the
-cyclic schedule, recovery availability under peer inactivity, and
-exhaustive confidentiality probes at tiny zone sizes. Every estimate is
+cyclic schedule and recovery availability under peer inactivity, and an
+enumeration of every cipher key at tiny zone sizes. Every estimate is
 reported with its trial count, seed, and 3-sigma binomial radius. Only
 ChainState writes records: the ledger rewrites call its encode_zone and reshare_zone.
 """
@@ -138,6 +138,7 @@ def zone_corruption_exact(m: int, c: int) -> float:
 
 def joint_corruption_bound(n: int, m: int, per_zone_c) -> float:
     """exp((n/m) * log(2 * sum(c_i) / n)), the joint corruption bound."""
+    layout(n, m)
     total = sum(per_zone_c)
     if total <= 0:
         return 0.0
@@ -146,6 +147,7 @@ def joint_corruption_bound(n: int, m: int, per_zone_c) -> float:
 
 def min_corruption_for_success(n: int, m: int, eps: float) -> float:
     """(n/2) (1-eps)^(m/n): total corruption needed for success >= 1-eps."""
+    layout(n, m)
     return (n / 2) * (1 - eps) ** (m / n)
 
 
@@ -181,11 +183,13 @@ def dynamic_exposure_scan(n: int, m: int, initial_corrupted, slots: int) -> list
 
 def availability_closed_form(n: int, m: int, rho: float) -> float:
     """P(some zone has all peers active) = 1 - (1 - (1-rho)^m)^(n/m)."""
+    layout(n, m)
     return 1 - (1 - (1 - rho) ** m) ** (n // m)
 
 
 def availability_bounds(n: int, m: int, rho: float) -> tuple[float, float]:
     """(union bound on success, exponential bound on failure)."""
+    layout(n, m)
     union = (n / m) * (1 - rho) ** m
     failure = math.exp(-((1 - rho) ** m) * n / m)
     return union, failure
@@ -235,69 +239,6 @@ def enumerate_keys(m: int):
             for flips in itertools.product((0, 1), repeat=m):
                 for assignment in itertools.permutations(range(m)):
                     yield CipherKey(tree, flips, assignment)
-
-
-class ConfidentialityReport(namedtuple(
-        "ConfidentialityReport",
-        "m fragment_bits leaked_peers key_count candidate_count marginals")):
-    """marginals[pos][v]: posterior probability that plaintext position pos holds v."""
-
-    __slots__ = ()
-
-    def max_uniform_deviation(self) -> float:
-        uniform = 1.0 / (1 << self.fragment_bits)
-        return max(abs(p - uniform) for row in self.marginals for p in row)
-
-
-def confidentiality_probe(m: int, leaked_peers: int, fragment_bits: int = 1,
-                          seed: int = 0) -> ConfidentialityReport:
-    """Exhaustive posterior over plaintexts given leaked peer fragments.
-
-    Samples one true (block, key) pair, reveals the codewords of
-    leaked_peers peers, and enumerates every key (and, for the posterior,
-    every block) consistent with the leak. With the full codeword leaked
-    the number of distinct decryption candidates is also reported.
-    """
-    if not 0 <= leaked_peers <= m:
-        raise ConfigurationError("leaked_peers must be in [0, m]")
-    if m * fragment_bits > 16:
-        raise ConfigurationError("plaintext space too large for exhaustive probe")
-    rng = random.Random(seed)
-    mask = (1 << fragment_bits) - 1
-    keys = list(enumerate_keys(m))
-    true_block = [rng.randrange(mask + 1) for _ in range(m)]
-    true_key = keys[rng.randrange(len(keys))]
-    codes = tree_cipher.encode_values(true_block, true_key, mask)
-    observed = {peer: codes[true_key.assignment[peer]]
-                for peer in rng.sample(range(m), leaked_peers)}
-
-    candidate_count = None
-    if leaked_peers == m:
-        candidates = set()
-        peer_codes = [observed[p] for p in range(m)]
-        for key in keys:
-            node_codes = [0] * m
-            for peer in range(m):
-                node_codes[key.assignment[peer]] = peer_codes[peer]
-            candidates.add(tuple(tree_cipher.decode_values(node_codes, key, mask)))
-        candidate_count = len(candidates)
-
-    weights: dict[tuple[int, ...], int] = {}
-    for block in itertools.product(range(mask + 1), repeat=m):
-        w = 0
-        for key in keys:
-            kc = tree_cipher.encode_values(list(block), key, mask)
-            if all(kc[key.assignment[peer]] == code for peer, code in observed.items()):
-                w += 1
-        if w:
-            weights[block] = w
-    total = sum(weights.values())
-    marginals = [[0.0] * (mask + 1) for _ in range(m)]
-    for block, w in weights.items():
-        for pos, v in enumerate(block):
-            marginals[pos][v] += w / total
-    return ConfidentialityReport(m, fragment_bits, leaked_peers, len(keys),
-                                 candidate_count, marginals)
 
 
 def rewrite_zone_block(state: ChainState, t: int, z: int, payload: bytes, rng) -> None:

@@ -262,6 +262,9 @@ def storage_cost_formula(q_bits: float, p_bits: float, m: int) -> tuple[float, f
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
+    for name, bits in (("q_bits", q_bits), ("p_bits", p_bits)):
+        if bits < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {bits}")
     baseline = q_bits + p_bits
     key_bits = 2 * m * math.log2(m) if m > 1 else 0.0
     distributed = q_bits / m + key_bits + 2 * p_bits + 1

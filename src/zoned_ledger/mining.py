@@ -61,7 +61,11 @@ def mining_hash(nonce: int, nonce_bits: int, prev_data: bytes, width: int) -> in
         raise ConfigurationError(
             f"need nonce_bits >= 0 and width in [8, 256], got {nonce_bits} and {width}")
     nbytes = (nonce_bits + 7) // 8
-    digest = hashlib.sha256(nonce.to_bytes(nbytes, "big") + prev_data).digest()
+    try:
+        nonce_bytes = nonce.to_bytes(nbytes, "big")
+    except OverflowError:  # negative, or past the nonce's bytes
+        raise ConfigurationError(f"nonce {nonce} does not fit in {nbytes} bytes") from None
+    digest = hashlib.sha256(nonce_bytes + prev_data).digest()
     return int.from_bytes(digest, "big") >> (256 - width)
 
 

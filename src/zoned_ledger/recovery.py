@@ -10,13 +10,13 @@ group is dropped when that zone decodes a block but shares no valid
 H_{tau-2}, or when its recomputed hash differs from the H_{tau-1} that
 the group's slot-tau zone shares. Each surviving group votes for its
 slot-t zone's candidate, which picks the winner a vote of its m/2 peers
-would; the full-replication baseline takes its majority by the same rule.
+would; a tie for the most votes is ambiguous.
 """
 
 import json
 from collections import Counter, namedtuple
 
-from .errors import AmbiguousRecoveryError, ConfigurationError, SlotError, UnrecoverableError
+from .errors import AmbiguousRecoveryError, ConfigurationError, UnrecoverableError
 from .ledger import ChainState, hash_step
 from .zones import zone_of_group
 
@@ -37,14 +37,6 @@ class RecoveryReport(namedtuple(
             "slots_scanned": self.slots_scanned,
             "unanimous": self.unanimous,
         }, sort_keys=True)
-
-
-def _majority(votes: Counter, t: int):
-    """The value with the most votes; AmbiguousRecoveryError if two share the most."""
-    ranked = votes.most_common(2)
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        raise AmbiguousRecoveryError(f"majority tie while recovering slot {t}")
-    return ranked[0][0]
 
 
 def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> RecoveryReport:
@@ -84,41 +76,9 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
     del votes[None]
     if not votes:
         raise UnrecoverableError(f"all candidate zones for slot {t} were eliminated")
+    ranked = votes.most_common(2)
+    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+        raise AmbiguousRecoveryError(f"majority tie while recovering slot {t}")
     eliminated = {p for g in range(lay.num_groups) if g not in home for p in lay.group(g)}
-    return RecoveryReport(_majority(votes, t), candidates, eliminated, scanned,
+    return RecoveryReport(ranked[0][0], candidates, eliminated, scanned,
                           len(set(candidates.values()) - {None}) == 1)
-
-
-class ReplicatedLedger:
-    """Conventional baseline: every peer stores a full copy of every block."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ConfigurationError(f"need n >= 1 peers, got {n}")
-        self.n = n
-        self.copies: list[list[bytes]] = [[] for _ in range(n)]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.copies[0])
-
-    def commit(self, payload: bytes) -> None:
-        for store in self.copies:
-            store.append(payload)
-
-    def corrupt(self, peer: int, t: int, payload: bytes) -> None:
-        if not 0 <= peer < self.n:
-            raise SlotError(f"peer {peer} is not in range({self.n})")
-        _check_baseline_slot(self, t)
-        self.copies[peer][t] = payload
-
-
-def _check_baseline_slot(ledger: ReplicatedLedger, t: int) -> None:
-    if not 0 <= t < ledger.num_blocks:
-        raise SlotError(f"slot {t} is not in range({ledger.num_blocks})")
-
-
-def recover_baseline(ledger: ReplicatedLedger, t: int) -> bytes:
-    """Majority vote over the n full copies of block t."""
-    _check_baseline_slot(ledger, t)
-    return _majority(Counter(store[t] for store in ledger.copies), t)

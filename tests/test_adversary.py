@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,7 +8,6 @@ import pytest
 from zoned_ledger.adversary import (availability_bounds,
                                     availability_closed_form,
                                     availability_trial,
-                                    confidentiality_probe,
                                     consistent_corruption_trial,
                                     min_corruption_for_success, dos_tolerance,
                                     dynamic_exposure_scan, enumerate_keys,
@@ -17,6 +17,7 @@ from zoned_ledger.adversary import (availability_bounds,
 from zoned_ledger.errors import ConfigurationError, UnrecoverableError
 from zoned_ledger.ledger import ChainConfig, ChainState
 from zoned_ledger.recovery import recover_block
+from zoned_ledger.tree_cipher import decode_values, encode_values
 
 
 def test_hash_corruption_matches_exact_rate():
@@ -128,6 +129,18 @@ def test_dynamic_exposure_no_initial_corruption():
     assert dynamic_exposure_scan(24, 4, set(), 11) == [0] * 11
 
 
+@pytest.mark.parametrize("closed_form", [
+    lambda: availability_closed_form(24, 0, 0.1),
+    lambda: availability_bounds(24, 0, 0.1),
+    lambda: joint_corruption_bound(24, 0, [1]),
+    lambda: joint_corruption_bound(0, 4, [1]),
+    lambda: min_corruption_for_success(0, 4, 0.1),
+], ids=["availability_m_0", "bounds_m_0", "joint_m_0", "joint_n_0", "min_corruption_n_0"])
+def test_closed_forms_reject_a_layout_that_layout_rejects(closed_form):
+    with pytest.raises(ConfigurationError):
+        closed_form()
+
+
 def test_availability_closed_form_values():
     assert availability_closed_form(8, 4, 0.0) == 1.0
     p = 1 - (1 - 0.9**4) ** 2
@@ -225,27 +238,65 @@ def test_enumerate_keys_count():
         assert len(set(keys)) == len(keys)
 
 
+def confidentiality_probe(m, leaked_peers, fragment_bits, seed):
+    """(deviation, candidates, keys) of an exhaustive posterior over plaintexts.
+
+    Samples one true (block, key) pair, reveals the codewords of
+    leaked_peers peers, and weighs every block by the keys that encode it
+    to the leak. deviation is the largest distance of a position's
+    posterior marginal from uniform; with the full codeword leaked,
+    candidates counts the distinct blocks that some key decrypts it to.
+    """
+    rng = random.Random(seed)
+    mask = (1 << fragment_bits) - 1
+    keys = list(enumerate_keys(m))
+    true_block = [rng.randrange(mask + 1) for _ in range(m)]
+    true_key = keys[rng.randrange(len(keys))]
+    codes = encode_values(true_block, true_key, mask)
+    observed = {peer: codes[true_key.assignment[peer]]
+                for peer in rng.sample(range(m), leaked_peers)}
+
+    candidates = None
+    if leaked_peers == m:
+        decoded = set()
+        for key in keys:
+            node_codes = [0] * m
+            for peer in range(m):
+                node_codes[key.assignment[peer]] = observed[peer]
+            decoded.add(tuple(decode_values(node_codes, key, mask)))
+        candidates = len(decoded)
+
+    weights = {}
+    for block in itertools.product(range(mask + 1), repeat=m):
+        w = 0
+        for key in keys:
+            kc = encode_values(list(block), key, mask)
+            w += all(kc[key.assignment[peer]] == code for peer, code in observed.items())
+        if w:
+            weights[block] = w
+    total = sum(weights.values())
+    marginals = [[0.0] * (mask + 1) for _ in range(m)]
+    for block, w in weights.items():
+        for pos, v in enumerate(block):
+            marginals[pos][v] += w / total
+    deviation = max(abs(p - 1 / (mask + 1)) for row in marginals for p in row)
+    return deviation, candidates, len(keys)
+
+
 def test_confidentiality_no_leak_is_uniform():
-    report = confidentiality_probe(3, leaked_peers=0, fragment_bits=1, seed=0)
-    assert report.max_uniform_deviation() <= 1e-12
+    deviation, _, _ = confidentiality_probe(3, leaked_peers=0, fragment_bits=1, seed=0)
+    assert deviation <= 1e-12
 
 
 def test_confidentiality_partial_leak_is_uniform():
     # leaking any strict subset of codewords reveals nothing
     for seed in range(4):
         for leaked in (1, 2):
-            report = confidentiality_probe(3, leaked, fragment_bits=1, seed=seed)
-            assert report.max_uniform_deviation() <= 1e-12, (seed, leaked)
+            deviation, _, _ = confidentiality_probe(3, leaked, fragment_bits=1, seed=seed)
+            assert deviation <= 1e-12, (seed, leaked)
 
 
 def test_confidentiality_full_leak_leaves_many_candidates():
-    report = confidentiality_probe(2, leaked_peers=2, fragment_bits=4, seed=1)
-    assert report.candidate_count is not None
-    assert 1 < report.candidate_count <= report.key_count
-
-
-def test_confidentiality_probe_limits():
-    with pytest.raises(ConfigurationError):
-        confidentiality_probe(3, 4)
-    with pytest.raises(ConfigurationError):
-        confidentiality_probe(3, 1, fragment_bits=6)
+    _, candidates, key_count = confidentiality_probe(2, leaked_peers=2, fragment_bits=4, seed=1)
+    assert candidates is not None
+    assert 1 < candidates <= key_count

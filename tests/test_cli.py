@@ -137,9 +137,11 @@ def test_negative_scan_limit_exits_2(capsys):
     (("mining", "--nonce-bits", "-1"), "--nonce-bits"),
     (("simulate", "--blocks", "-1"), "--blocks"),
     (("attack", "--m", "0"), "--m"),
+    (("storage-cost", "--q-bits", "-5"), "q_bits"),
+    (("storage-cost", "--p-bits", "-1"), "p_bits"),
 ], ids=["availability_trials_0", "availability_trials_negative", "attack_trials_0",
         "mining_trials_0", "mining_nonce_bits_negative", "simulate_blocks_negative",
-        "attack_m_0"])
+        "attack_m_0", "storage_cost_q_bits_negative", "storage_cost_p_bits_negative"])
 def test_count_out_of_range_exits_2(capsys, argv, flag):
     code, stdout, stderr = run_cli(capsys, *argv, "--seed", "1")
     assert code == 2

@@ -12,16 +12,28 @@ checks; only tree_cipher.py may call them, on values it built itself.
 
 Every parameter of every library function is read in its body: a knob
 that changes nothing is a parameter to remove, not one to document.
+
+Every public function and class of the library, and every public method
+of a public class, has a caller: it is loaded (as a name, an attribute or
+a from-import) elsewhere in the library than its own definition and the
+package's re-exports, in a demo, in the benchmark harness or the tracer's
+TARGETS, or in the acceptance tests. A name that only unit tests call is
+code to delete, or a test helper to move into the tests; the allowlist
+keeps the few that serve a stated contract without such a caller.
 """
 
 import ast
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
+from test_tracer_bindings import _load_tracer_module
 
 import zoned_ledger
 
 SRC = Path(zoned_ledger.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 RECORD_FIELDS = {"share", "fragment"}
 KEY_TYPES = {"RootedTree", "CipherKey"}
 
@@ -173,3 +185,84 @@ def test_every_parameter_is_read(name):
 ], ids=["positional", "varargs", "keyword_only", "kwargs", "self", "lambda"])
 def test_the_parameter_check_catches_what_it_forbids(source):
     assert unread_parameters(ast.parse(source))
+
+
+# name -> why it may stay without a caller
+CALLER_ALLOWLIST = {
+    "ledger.snapshot_save": "writes the chain's persisted form, whose malformed input "
+                            "must raise SnapshotError (ROADMAP north star); the planned "
+                            "recovery state machine round-trips through it",
+    "ledger.snapshot_load": "reads that persisted form, and raises SnapshotError, never "
+                            "a bare error, on a malformed snapshot (ROADMAP north star)",
+}
+
+
+def loaded_names(tree):
+    """Counter of the names tree loads, as names, attributes and from-imports."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def public_definitions(tree):
+    """(dotted name, node) for each public top-level function and class, and
+    each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        yield f"{node.name}.{fn.name}", fn
+
+
+def uncalled_names(library, outside):
+    """module.name for each public definition in library ({module: tree}) that
+    no library module loads outside its own definition, and that is not in
+    outside (the names loaded beyond the library). __init__ re-exports count
+    for nothing."""
+    library = {module: tree for module, tree in library.items() if module != "__init__"}
+    everywhere = sum((loaded_names(tree) for tree in library.values()), Counter())
+    found = []
+    for module, tree in library.items():
+        for name, node in public_definitions(tree):
+            short = name.rpartition(".")[2]
+            if short not in outside and everywhere[short] <= loaded_names(node)[short]:
+                found.append(f"{module}.{name}")
+    return found
+
+
+@cache
+def library_uncalled_names():
+    outside = set()
+    for path in [*REPO.glob("demos/*.py"), *REPO.glob("perfbench/*.py"),
+                 REPO / "tests" / "test_acceptance.py"]:
+        outside |= set(loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
+    for _, path in _load_tracer_module().TARGETS.values():
+        outside |= set(path.split("."))
+    return uncalled_names({p.stem: _tree(p.name) for p in SRC.glob("*.py")}, outside)
+
+
+def test_every_public_name_has_a_caller():
+    assert [name for name in library_uncalled_names() if name not in CALLER_ALLOWLIST] == []
+
+
+def test_no_allowlisted_name_has_a_caller():
+    assert [name for name in CALLER_ALLOWLIST if name not in library_uncalled_names()] == []
+
+
+@pytest.mark.parametrize("library,outside,uncalled", [
+    ({"m": "def walk(n):\n    return walk(n - 1)"}, "", "m.walk"),
+    ({"m": "def f():\n    pass", "__init__": "from .m import f\n__all__ = ['f']"}, "", "m.f"),
+    ({"m": "class C:\n    def run(self):\n        pass\nC()"}, "", "m.C.run"),
+    ({"m": "def f():\n    pass"}, "# f is unused\nprint('f', 'm.f')", "m.f"),
+], ids=["own_body_only", "init_reexport_only", "uncalled_method", "string_or_comment_only"])
+def test_the_caller_check_catches_what_it_forbids(library, outside, uncalled):
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    assert uncalled in uncalled_names(trees, set(loaded_names(ast.parse(outside))))

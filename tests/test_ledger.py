@@ -253,10 +253,13 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
     (lambda: mining_hash(1, -9, b"", 64), ConfigurationError),
     (lambda: mining_hash(1, 8, b"", 300), ConfigurationError),
     (lambda: mining_hash(1, 8, b"", 7), ConfigurationError),
+    (lambda: mining_hash(300, 8, b"", 64), ConfigurationError),
+    (lambda: mining_hash(-1, 8, b"", 64), ConfigurationError),
 ], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
         "negative_q_bits", "hash_width_300", "hash_width_negative", "hash_width_0",
         "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
-        "mining_hash_width_7"])
+        "mining_hash_width_7", "mining_hash_nonce_past_its_bytes",
+        "mining_hash_negative_nonce"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
     # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
     # or (a hash width of 0 or 7) returned a hash that no chain can have

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
-from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError, SlotError,
+from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError,
                                  UnrecoverableError, UnrepairableError)
 from zoned_ledger.ledger import (ChainConfig, ChainState, hash_step, share_field,
                                  snapshot_load, snapshot_save)
-from zoned_ledger.recovery import (ReplicatedLedger, recover_baseline,
-                                   recover_block)
+from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, split
 from zoned_ledger.zones import zone_groups
 
@@ -500,42 +499,3 @@ def test_report_json_round_trippable():
     assert bytes.fromhex(data["recovered"]) == state.payloads[1]
     assert data["slots_scanned"] == report.slots_scanned
 
-
-def test_baseline_majority():
-    led = ReplicatedLedger(9)
-    led.commit(b"honest")
-    for peer in range(4):  # floor(n/2) corrupted
-        led.corrupt(peer, 0, b"evil..")
-    assert recover_baseline(led, 0) == b"honest"
-    led.corrupt(4, 0, b"evil..")  # floor(n/2)+1 corrupted
-    assert recover_baseline(led, 0) == b"evil.."
-
-
-@pytest.mark.parametrize("call,error", [
-    (lambda led: recover_baseline(led, -1), SlotError),
-    (lambda led: recover_baseline(led, 3), SlotError),
-    (lambda led: recover_baseline(ReplicatedLedger(5), 0), SlotError),
-    (lambda led: led.corrupt(0, -3, b"evil"), SlotError),
-    (lambda led: led.corrupt(0, 3, b"evil"), SlotError),
-    (lambda led: led.corrupt(-1, 0, b"evil"), SlotError),
-    (lambda led: led.corrupt(5, 0, b"evil"), SlotError),
-    (lambda led: ReplicatedLedger(0), ConfigurationError),
-    (lambda led: ReplicatedLedger(-2), ConfigurationError),
-], ids=["recover_t_neg", "recover_t_past", "recover_empty", "corrupt_t_neg", "corrupt_t_past",
-        "corrupt_peer_neg", "corrupt_peer_past", "no_peers", "negative_peers"])
-def test_baseline_index_out_of_range_is_typed(call, error):
-    led = ReplicatedLedger(5)
-    for block in (b"zero", b"one", b"two"):
-        led.commit(block)
-    with pytest.raises(error):
-        call(led)
-    assert led.copies == [[b"zero", b"one", b"two"]] * 5  # nothing was written
-
-
-def test_baseline_tie_is_ambiguous():
-    led = ReplicatedLedger(4)
-    led.commit(b"a")
-    led.corrupt(0, 0, b"b")
-    led.corrupt(1, 0, b"b")
-    with pytest.raises(AmbiguousRecoveryError):
-        recover_baseline(led, 0)

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from zoned_ledger.adversary import (ConfidentialityReport, confidentiality_probe,
-                                    zone_corruption_trial)
+from zoned_ledger.adversary import zone_corruption_trial
 from zoned_ledger.errors import ConfigurationError
 from zoned_ledger.ledger import ChainConfig, ChainState
 from zoned_ledger.mining import DifficultyTarget, mine
@@ -28,7 +27,6 @@ VALUES = {
     "GroupLayout": lambda: layout(24, 4),
     "MiningResult": lambda: mine(b"prev", DifficultyTarget(64, 0.5), 16, random.Random(0)),
     "TrialSummary": lambda: zone_corruption_trial(4, 2, 10, 0),
-    "ConfidentialityReport": lambda: confidentiality_probe(2, 1),
     "Share": lambda: Share(3, 5),
     "RecoveryReport": recovery_report,
 }
@@ -38,9 +36,8 @@ VALUES = {
 def test_value_types_are_immutable_and_equal_by_value(make):
     a, b = make(), make()
     assert a == b and a is not b
-    # a ConfidentialityReport's marginals are lists; a RecoveryReport's
-    # candidates are a dict and its eliminated peers a set
-    if not isinstance(a, (ConfidentialityReport, RecoveryReport)):
+    # a RecoveryReport's candidates are a dict and its eliminated peers a set
+    if not isinstance(a, RecoveryReport):
         assert hash(a) == hash(b) and len({a, b}) == 1
     name = a._fields[0]
     with pytest.raises(AttributeError):
