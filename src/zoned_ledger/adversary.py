@@ -43,6 +43,11 @@ def _check_trials(trials: int) -> None:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
 
 
+def _check_rho(rho: float) -> None:
+    if not 0 <= rho < 1:  # NaN fails both comparisons
+        raise ConfigurationError(f"rho must be in [0, 1), got {rho}")
+
+
 def _summary(trials, successes, bound, seed) -> TrialSummary:
     return TrialSummary(trials, successes, successes / trials, bound, seed)
 
@@ -146,8 +151,10 @@ def joint_corruption_bound(n: int, m: int, per_zone_c) -> float:
 
 
 def min_corruption_for_success(n: int, m: int, eps: float) -> float:
-    """(n/2) (1-eps)^(m/n): total corruption needed for success >= 1-eps."""
+    """(n/2) (1-eps)^(m/n): total corruption needed for success >= 1-eps, eps in [0, 1]."""
     layout(n, m)
+    if not 0 <= eps <= 1:  # NaN fails both comparisons
+        raise ConfigurationError(f"eps must be in [0, 1], got {eps}")
     return (n / 2) * (1 - eps) ** (m / n)
 
 
@@ -182,14 +189,16 @@ def dynamic_exposure_scan(n: int, m: int, initial_corrupted, slots: int) -> list
 
 
 def availability_closed_form(n: int, m: int, rho: float) -> float:
-    """P(some zone has all peers active) = 1 - (1 - (1-rho)^m)^(n/m)."""
+    """P(some zone has all peers active) = 1 - (1 - (1-rho)^m)^(n/m), rho in [0, 1)."""
     layout(n, m)
+    _check_rho(rho)
     return 1 - (1 - (1 - rho) ** m) ** (n // m)
 
 
 def availability_bounds(n: int, m: int, rho: float) -> tuple[float, float]:
-    """(union bound on success, exponential bound on failure)."""
+    """(union bound on success, exponential bound on failure), rho in [0, 1)."""
     layout(n, m)
+    _check_rho(rho)
     union = (n / m) * (1 - rho) ** m
     failure = math.exp(-((1 - rho) ** m) * n / m)
     return union, failure
@@ -205,8 +214,7 @@ def availability_trial(n: int, m: int, rho: float, trials: int, seed: int) -> Tr
     so the blocks draw the same values as one (trials, n) call.
     """
     layout(n, m)
-    if not 0 <= rho < 1:
-        raise ConfigurationError("rho must be in [0, 1)")
+    _check_rho(rho)
     _check_trials(trials)
     import numpy as np  # here, not at module top: it costs ~0.15 s and nothing else uses it
     gen = np.random.default_rng(seed)

@@ -3,7 +3,8 @@
 Elements are plain Python ints reduced modulo the field prime; the
 ``Field`` object carries the modulus so values stay lightweight.
 Horner evaluation reduces once, at its end; barycentric interpolation
-takes one ``math.prod`` per weight and one inversion per call.
+takes one ``math.prod`` per weight and sums the weighted values as one
+running fraction, so it makes one inversion per call.
 ``randbelow`` draws uniform ints from the same bits as
 ``random.Random.randrange``, and ``randbelow_list`` a run of them.
 """
@@ -129,9 +130,10 @@ class Field:
 
         points holds (x, y) pairs with x distinct mod p. Barycentric form:
         f(x0) = prod_j (x0 - x_j) * sum_i y_i / d_i, where each
-        d_i = (x0 - x_i) * prod_{j != i} (x_i - x_j) is one math.prod,
-        and the d_i are inverted together (Montgomery's trick). At a
-        node x0 = x_i, f(x0) = y_i.
+        d_i = (x0 - x_i) * prod_{j != i} (x_i - x_j) is one math.prod.
+        One forward loop keeps the sum as a single fraction num / den,
+        so one inversion, of den, ends the call. At a node x0 = x_i,
+        f(x0) = y_i.
         """
         if not points:
             raise ValueError("need at least one point")
@@ -142,23 +144,14 @@ class Field:
         x0 %= mod
         if x0 in xs:
             return points[xs.index(x0)][1] % mod
-        dens = []
-        below = []  # below[i] = dens[0] * ... * dens[i-1]
-        acc = 1
+        num, den = 0, 1  # sum_i y_i / d_i over the points so far
         for i, xi in enumerate(xs):
             diffs = [xi - xj for xj in xs]
             diffs[i] = x0 - xi
-            den = math.prod(diffs) % mod
-            dens.append(den)
-            below.append(acc)
-            acc = acc * den % mod
-        inv = pow(acc, -1, mod)  # inverse of the product of all the dens
-        total = 0
-        for i in range(len(xs) - 1, -1, -1):
-            # here inv is the inverse of dens[0] * ... * dens[i]
-            total += points[i][1] * (inv * below[i] % mod)
-            inv = inv * dens[i] % mod
-        return math.prod([x0 - xj for xj in xs]) % mod * total % mod
+            d = math.prod(diffs) % mod
+            num = (num * d + points[i][1] * den) % mod
+            den = den * d % mod
+        return math.prod([x0 - xj for xj in xs]) % mod * num * pow(den, -1, mod) % mod
 
 
 @cache

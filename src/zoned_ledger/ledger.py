@@ -6,8 +6,9 @@ key followed by the previous hash value, is (m, m) secret shared across
 the zone at abscissas below 2^width, so a zone decode is one
 interpolation. Recovery and repair read zones through
 ``ChainState.cached_decode``, which decodes a zone again only when its
-records have changed. The simulator also keeps the plain ground truth so
-experiments can check recovery against it.
+records have changed, and then decodes the records it read to compare.
+The simulator also keeps the plain ground truth so experiments can check
+recovery against it.
 """
 
 import hashlib
@@ -109,9 +110,8 @@ class ChainState:
         """Zones of slot t, each a sorted tuple of peers: zones.allocation_at."""
         return zones.allocation_at(self.layout, t)
 
-    def _read_zone(self, t: int, z: int):
-        """(records, key bytes, previous hash) of zone z at slot t, or None if unreadable."""
-        recs = self.zone_records(t, z)
+    def _read_zone(self, recs):
+        """(key bytes, previous hash) shared by zone_records' result, or None if unreadable."""
         if recs is None:
             return None
         m, key_nbytes = self.config.m, tree_cipher.key_nbytes(self.config.m)
@@ -120,7 +120,7 @@ class ChainState:
                                               key_nbytes + hash_nbytes(self.config.hash_width))
         except ValueError:
             return None
-        return recs, secret[:key_nbytes], int.from_bytes(secret[key_nbytes:], "big")
+        return secret[:key_nbytes], int.from_bytes(secret[key_nbytes:], "big")
 
     def _store_zone(self, t: int, z: int, fragments, key_bytes: bytes, prev_hash: int,
                     rng) -> None:
@@ -152,10 +152,10 @@ class ChainState:
 
     def reshare_zone(self, t: int, z: int, prev_hash: int, rng) -> bool:
         """Re-share zone z's own key with prev_hash; False, writing nothing, if unreadable."""
-        read = self._read_zone(t, z)
+        recs = self.zone_records(t, z)
+        read = self._read_zone(recs)
         if read is not None:
-            recs, key_bytes, _ = read
-            self._store_zone(t, z, [r.fragment for r in recs], key_bytes, prev_hash, rng)
+            self._store_zone(t, z, [r.fragment for r in recs], read[0], prev_hash, rng)
         return read is not None
 
     def commit_block(self, payload: bytes, rng) -> None:
@@ -177,20 +177,15 @@ class ChainState:
 
     def zone_records(self, t: int, z: int) -> list[PeerSlotRecord] | None:
         """Records of zone z at slot t in peer order, or None if any is missing."""
-        recs = [self.records[t].get(p) for p in self._zone(t, z)]
-        return None if any(r is None for r in recs) else recs  # type: ignore[return-value]
+        recs = list(map(self._slot(t).get, self._zone(t, z)))
+        return None if None in recs else recs
 
-    def zone_decode(self, t: int, z: int) -> tuple[bytes | None, int | None]:
-        """(zone z's copy of block t, the H_{t-1} it shares), from one interpolation.
-
-        Raises SlotError only for a (t, z) outside the committed slots and their
-        zones. A missing record, bad shares or a secret past its byte width give
-        (None, None); a bad key index no block, a hash part >= 2^width no hash.
-        """
-        read = self._read_zone(t, z)
+    def _decode(self, recs) -> tuple[bytes | None, int | None]:
+        """(block, H_{t-1}) of a zone's records, zone_records' result; see zone_decode."""
+        read = self._read_zone(recs)
         if read is None:
             return None, None
-        recs, key_bytes, prev_hash = read
+        key_bytes, prev_hash = read
         try:
             key = tree_cipher.deserialize_key(key_bytes, self.config.m)
             block = tree_cipher.decrypt([r.fragment for r in recs], key)
@@ -198,25 +193,36 @@ class ChainState:
             block = None
         return block, None if prev_hash >> self.config.hash_width else prev_hash
 
+    def zone_decode(self, t: int, z: int) -> tuple[bytes | None, int | None]:
+        """(zone z's copy of block t, the H_{t-1} it shares), from one interpolation.
+
+        Raises SlotError only for a (t, z) outside the committed slots and their
+        zones. A missing record, bad shares or a secret past its byte width give
+        (None, None); a bad key index no block, a hash part >= 2^width no hash.
+        It decodes on every call; cached_decode keeps the result.
+        """
+        return self._decode(self.zone_records(t, z))
+
     def cached_decode(self, t: int, z: int) -> tuple[bytes | None, int | None]:
         """zone_decode(t, z), decoded again only when the zone's records have changed.
 
-        The memo keeps one entry per (t, z): the zone's m records it was
-        decoded from, then the result. A hit needs the current ones to compare
-        equal, so every write is seen, a record replaced outside ChainState's
-        writers included.
+        The memo keeps one entry per (t, z): the zone's records it was decoded
+        from (None when one was missing), then the result. A hit needs the
+        current ones to compare equal, so every write is seen, a record replaced
+        outside ChainState's writers included. A miss decodes the records it
+        read for that comparison.
         """
-        content = tuple(map(self._slot(t).get, self._zone(t, z)))
+        recs = self.zone_records(t, z)
         entry = self._decoded.get((t, z))
-        if entry is not None and entry[0] == content:
+        if entry is not None and entry[0] == recs:
             return entry[1:]
-        block, prev_hash = self.zone_decode(t, z)
+        block, prev_hash = self._decode(recs)
         # held as the ground truth's objects, an honest block and hash take no memory
         if block == self.payloads[t]:
             block = self.payloads[t]
         if prev_hash == self.hashes[t]:
             prev_hash = self.hashes[t]
-        self._decoded[t, z] = content, block, prev_hash
+        self._decoded[t, z] = recs, block, prev_hash
         return block, prev_hash
 
     def zone_candidate(self, t: int, z: int) -> bytes | None:

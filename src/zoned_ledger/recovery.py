@@ -5,12 +5,13 @@ shares in one decode, through ``ChainState.cached_decode``, so a (slot,
 zone) is decoded at most once while its records are unchanged, across
 calls. Peers fall into groups of m/2, which share every zone. While the
 voting groups' candidates disagree, the scan makes one pass over them per
-slot tau > t: H_{tau-1} is recomputed once per slot-(tau-1) zone, and a
-group is dropped when that zone decodes a block but shares no valid
-H_{tau-2}, or when its recomputed hash differs from the H_{tau-1} that
-the group's slot-tau zone shares. Each surviving group votes for its
-slot-t zone's candidate, which picks the winner a vote of its m/2 peers
-would; a tie for the most votes is ambiguous.
+slot tau > t. H_{tau-1} is recomputed once per distinct (block, H_{tau-2})
+pair that the slot-(tau-1) zones decode, so honest zones share one hash.
+A group is dropped when its slot-(tau-1) zone decodes a block but shares
+no valid H_{tau-2}, or when that zone's recomputed hash differs from the
+H_{tau-1} that the group's slot-tau zone shares. Each surviving group
+votes for its slot-t zone's candidate, which picks the winner a vote of
+its m/2 peers would; a tie for the most votes is ambiguous.
 """
 
 import json
@@ -58,8 +59,9 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
         if len({candidates[z] for z in home.values()} - {None}) <= 1:
             break
         following = [state.cached_decode(tau, z) for z in range(n_zones)]
-        recomputed = [None if block is None or prev is None
-                      else hash_step(prev, block, cfg.hash_width) for block, prev in decoded]
+        # one hash per distinct (block, H_{tau-2}) pair: honest zones share one
+        recomputed = {pair: hash_step(pair[1], pair[0], cfg.hash_width)
+                      for pair in set(decoded) if None not in pair}
         for g in list(home):
             z = zone_of_group(lay, tau - 1, g)
             block, prev = decoded[z]
@@ -68,7 +70,7 @@ def recover_block(state: ChainState, t: int, scan_limit: int | None = None) -> R
             shared = following[zone_of_group(lay, tau, g)][1]  # H_{tau-1} as slot tau has it
             if prev is None:  # no_prev_hash: a block with no H_{tau-2} to chain it to
                 del home[g]
-            elif shared is not None and recomputed[z] != shared:  # hash_mismatch
+            elif shared is not None and recomputed[block, prev] != shared:  # hash_mismatch
                 del home[g]
         decoded, scanned = following, scanned + 1
 

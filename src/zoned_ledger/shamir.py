@@ -56,7 +56,9 @@ def split(field: Field, secret: int, k: int, n: int, rng,
 
 
 def reconstruct(field: Field, shares, k: int) -> int:
-    """Recover the secret (the polynomial intercept) from >= k shares."""
+    """Recover the secret (the polynomial intercept) from >= k shares, k >= 1."""
+    if k < 1:
+        raise ConfigurationError(f"need a threshold k >= 1, got {k}")
     shares = list(shares)
     if len(shares) < k:
         raise InsufficientSharesError(f"got {len(shares)} shares, need {k}")
@@ -78,7 +80,9 @@ def split_bytes(secret: bytes, k: int, n: int, rng,
 
 
 def reconstruct_bytes(shares, k: int, nbytes: int) -> bytes:
-    """Invert split_bytes given >= k parties' shares."""
+    """Invert split_bytes given >= k parties' shares of an nbytes >= 0 secret."""
+    if nbytes < 0:
+        raise ConfigurationError(f"need a byte length nbytes >= 0, got {nbytes}")
     value = reconstruct(prime_field(8 * nbytes), shares, k)
     if value >> (8 * nbytes):
         raise KeyDecodeError(f"shared value does not fit in {nbytes} bytes")

@@ -12,6 +12,7 @@ keys, in the fewest bytes that hold every index.
 import math
 from collections import namedtuple
 from functools import cache, reduce
+from operator import xor
 
 from .errors import ConfigurationError, KeyDecodeError
 from .field import randbelow_list
@@ -170,61 +171,33 @@ def sample_key(m: int, rng) -> CipherKey:
     return CipherKey._make((tree, flips, tuple(assignment)))
 
 
-def encode_values(values, key: CipherKey, mask: int) -> list[int]:
-    """Node-indexed codewords for node-indexed plaintext fragment values."""
-    m, root = key.m, key.tree.root
-    parents, flips = key.tree.parents, key.flips
-    codes = [0] * m
-    acc = values[root]
-    for i in range(m):
-        if i == root:
-            continue
-        c = values[i] ^ values[parents[i]]
-        if flips[i]:
-            c ^= mask
-        codes[i] = c
-        acc ^= c
-    codes[root] = acc ^ mask if flips[root] else acc
-    return codes
-
-
-def decode_values(codes, key: CipherKey, mask: int) -> list[int]:
-    """Invert encode_values; input and output are node-indexed.
-
-    The root's plaintext comes first; every other node's is filled in
-    along its path up to the nearest node already known.
-    """
-    m, root = key.m, key.tree.root
-    parents, flips = key.tree.parents, key.flips
-    root_code = codes[root] ^ mask if flips[root] else codes[root]
-    plain = [None] * m
-    plain[root] = reduce(lambda a, j: a ^ codes[j],
-                         (j for j in range(m) if j != root), root_code)
-    for node in range(m):
-        path = []
-        while plain[node] is None:
-            path.append(node)
-            node = parents[node]
-        for v in reversed(path):
-            c = codes[v] ^ mask if flips[v] else codes[v]
-            plain[v] = c ^ plain[parents[v]]
-    return plain
-
-
 def encrypt(block: bytes, key: CipherKey) -> list[bytes]:
-    """Split block into m fragments and return peer-indexed codewords."""
+    """Split block into m fragments and return peer-indexed codewords.
+
+    A node's codeword is its fragment XOR its parent's, flipped by its
+    flip bit; the root's own term is then 0 or the flip mask, so the
+    root's codeword is its fragment XOR every node's term.
+    """
     m = key.m
     if len(block) % m != 0:
         raise ValueError(f"block length {len(block)} not divisible by m={m}")
     fl = len(block) // m
     mask = (1 << (8 * fl)) - 1
     values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(m)]
-    codes = encode_values(values, key, mask)
-    return [codes[key.assignment[i]].to_bytes(fl, "big") for i in range(m)]
+    codes = [v ^ values[p] ^ mask if f else v ^ values[p]
+             for v, p, f in zip(values, key.tree.parents, key.flips)]
+    root = key.tree.root
+    codes[root] = reduce(xor, codes, values[root])
+    return [codes[node].to_bytes(fl, "big") for node in key.assignment]
 
 
 def decrypt(fragments, key: CipherKey) -> bytes:
-    """Invert encrypt given the m peer-indexed fragments."""
+    """Invert encrypt given the m peer-indexed fragments.
+
+    The root's plaintext is the XOR of every codeword, unflipped by the
+    root's flip bit; every other node's is filled in along its path up
+    to the nearest node already known.
+    """
     fragments = list(fragments)
     m = key.m
     if len(fragments) != m:
@@ -233,11 +206,21 @@ def decrypt(fragments, key: CipherKey) -> bytes:
         raise ValueError("fragments must have equal lengths")
     fl = len(fragments[0])
     mask = (1 << (8 * fl)) - 1
+    parents, root, flips = key.tree.parents, key.tree.root, key.flips
     codes = [0] * m
-    for peer, frag in enumerate(fragments):
-        codes[key.assignment[peer]] = int.from_bytes(frag, "big")
-    plain = decode_values(codes, key, mask)
-    return b"".join(v.to_bytes(fl, "big") for v in plain)
+    for node, frag in zip(key.assignment, fragments):
+        codes[node] = int.from_bytes(frag, "big")
+    plain = [None] * m
+    plain[root] = reduce(xor, codes, mask if flips[root] else 0)
+    for node in range(m):
+        path = []
+        while plain[node] is None:
+            path.append(node)
+            node = parents[node]
+        for v in reversed(path):
+            c = codes[v] ^ plain[parents[v]]
+            plain[v] = c ^ mask if flips[v] else c
+    return b"".join([v.to_bytes(fl, "big") for v in plain])
 
 
 def corruption_oracle(key: CipherKey, corrupted_peers, target_change) -> bool:
@@ -322,8 +305,8 @@ def deserialize_key(data: bytes, m: int) -> CipherKey:
         index, rank = divmod(index, base)
         ranks.append(rank)
     unplaced = list(range(m))
-    assignment = tuple(unplaced.pop(rank) for rank in reversed(ranks))
-    flips = tuple((index >> i) & 1 for i in range(m))
+    assignment = tuple([unplaced.pop(rank) for rank in reversed(ranks)])
+    flips = tuple([(index >> i) & 1 for i in range(m)])
     index >>= m
     index, root = divmod(index, m)
     seq = [0] * max(0, m - 2)

@@ -17,7 +17,8 @@ from zoned_ledger.adversary import (availability_bounds,
 from zoned_ledger.errors import ConfigurationError, UnrecoverableError
 from zoned_ledger.ledger import ChainConfig, ChainState
 from zoned_ledger.recovery import recover_block
-from zoned_ledger.tree_cipher import decode_values, encode_values
+
+from test_tree_cipher import decode_values, encode_values
 
 
 def test_hash_corruption_matches_exact_rate():
@@ -139,6 +140,31 @@ def test_dynamic_exposure_no_initial_corruption():
 def test_closed_forms_reject_a_layout_that_layout_rejects(closed_form):
     with pytest.raises(ConfigurationError):
         closed_form()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: availability_closed_form(24, 4, 3.0),
+    lambda: availability_bounds(24, 4, -1.0),
+    lambda: min_corruption_for_success(24, 6, 2.0),
+    lambda: availability_closed_form(24, 4, math.nan),
+    lambda: availability_bounds(24, 4, math.nan),
+    lambda: min_corruption_for_success(24, 6, math.nan),
+    lambda: availability_trial(24, 4, math.nan, 10, 0),
+], ids=["availability_rho_3", "bounds_rho_negative", "min_corruption_eps_2",
+        "availability_rho_nan", "bounds_rho_nan",
+        "min_corruption_eps_nan", "trial_rho_nan"])
+def test_closed_forms_reject_a_probability_outside_its_range(call):
+    # rho must be in [0, 1) and eps in [0, 1]: the closed forms returned -11390624.0,
+    # a union bound of 96.0, the complex 8.49+8.49j, or NaN; the trial shares their check
+    with pytest.raises(ConfigurationError):
+        call()
+
+
+def test_closed_forms_take_the_ends_of_their_ranges():
+    assert availability_closed_form(24, 4, 0.0) == 1.0
+    assert availability_bounds(24, 4, 0.0) == (6.0, math.exp(-6.0))
+    assert min_corruption_for_success(24, 6, 0.0) == 12.0
+    assert min_corruption_for_success(24, 6, 1.0) == 0.0
 
 
 def test_availability_closed_form_values():

@@ -19,7 +19,7 @@ from zoned_ledger.ledger import (GENESIS_HASH, SNAPSHOT_FORMAT, ChainConfig, Cha
                                  storage_cost_formula)
 from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law, mining_hash
 from zoned_ledger.recovery import recover_block
-from zoned_ledger.shamir import Share, reconstruct
+from zoned_ledger.shamir import Share, reconstruct, reconstruct_bytes
 
 
 def make_chain(n=8, m=4, block_bytes=16, blocks=4, seed=0, hash_width=64):
@@ -255,14 +255,18 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
     (lambda: mining_hash(1, 8, b"", 7), ConfigurationError),
     (lambda: mining_hash(300, 8, b"", 64), ConfigurationError),
     (lambda: mining_hash(-1, 8, b"", 64), ConfigurationError),
+    (lambda: reconstruct(prime_field(16), [Share(3, 1)], 0), ConfigurationError),
+    (lambda: reconstruct_bytes([Share(3, 1)], 1, -1), ConfigurationError),
 ], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
         "negative_q_bits", "hash_width_300", "hash_width_negative", "hash_width_0",
         "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
         "mining_hash_width_7", "mining_hash_nonce_past_its_bytes",
-        "mining_hash_negative_nonce"])
+        "mining_hash_negative_nonce", "reconstruct_threshold_0",
+        "reconstruct_bytes_negative_length"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
     # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
-    # or (a hash width of 0 or 7) returned a hash that no chain can have
+    # or (a hash width of 0 or 7) returned a hash that no chain can have, or (a
+    # threshold of 0) an InsufficientSharesError for "fewer than 0 distinct shares"
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

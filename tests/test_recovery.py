@@ -258,13 +258,38 @@ def test_tampered_key_share_that_decodes_to_a_wrong_key_is_eliminated():
 
 
 def count_decodes(monkeypatch):
-    """A Counter of (method, slot, zone) calls to ChainState's three point reads."""
+    """A Counter of (method, slot, zone): each call of ChainState's three point reads,
+    and each memo miss of cached_decode, counted as a zone_decode of its (slot, zone).
+
+    A miss is a call of the records decoder ChainState._decode inside cached_decode
+    and not inside a point read, which counts itself. So a miss counts once, whether
+    cached_decode decodes the records it read or calls zone_decode.
+    """
     calls = Counter()
-    for name in ("zone_decode", "zone_candidate", "zone_prev_hash"):
-        def counted(self, tau, z, _name=name, _decode=getattr(ChainState, name)):
-            calls[_name, tau, z] += 1
-            return _decode(self, tau, z)
+    under_way = []  # per read in progress: (slot, zone) of a cached_decode, None of a point read
+
+    def wrap(name, is_point_read):
+        read = getattr(ChainState, name)
+
+        def counted(self, tau, z):
+            if is_point_read:
+                calls[name, tau, z] += 1
+            under_way.append(None if is_point_read else (tau, z))
+            try:
+                return read(self, tau, z)
+            finally:
+                under_way.pop()
         monkeypatch.setattr(ChainState, name, counted)
+
+    for name in ("zone_decode", "zone_candidate", "zone_prev_hash"):
+        wrap(name, True)
+    wrap("cached_decode", False)
+
+    def decode(self, recs, _decode=ChainState._decode):
+        if under_way and under_way[-1] is not None:
+            calls["zone_decode", *under_way[-1]] += 1
+        return _decode(self, recs)
+    monkeypatch.setattr(ChainState, "_decode", decode)
     return calls
 
 

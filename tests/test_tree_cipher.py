@@ -3,17 +3,17 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoned_ledger.adversary import zone_corruption_exact
 from zoned_ledger.errors import ConfigurationError, KeyDecodeError
 from zoned_ledger.tree_cipher import (CipherKey, RootedTree, corruption_oracle,
-                                      decrypt, deserialize_key, encode_values,
-                                      encrypt, key_nbytes, key_space,
-                                      prufer_sequence, sample_key, sample_tree,
+                                      decrypt, deserialize_key, encrypt, key_nbytes,
+                                      key_space, prufer_sequence, sample_key, sample_tree,
                                       serialize_key, tree_from_prufer)
 
 
@@ -46,6 +46,118 @@ def reference_corruption_oracle(key, corrupted_peers, target_change):
     corrupted = set(corrupted_peers)
     return all(peer in corrupted
                for peer, node in enumerate(key.assignment) if node in required)
+
+
+def encode_values(values, key, mask):
+    """Node-indexed codewords for node-indexed plaintext fragment values, node by node:
+    the reference for encrypt."""
+    m, root = key.m, key.tree.root
+    parents, flips = key.tree.parents, key.flips
+    codes = [0] * m
+    acc = values[root]
+    for i in range(m):
+        if i == root:
+            continue
+        c = values[i] ^ values[parents[i]]
+        if flips[i]:
+            c ^= mask
+        codes[i] = c
+        acc ^= c
+    codes[root] = acc ^ mask if flips[root] else acc
+    return codes
+
+
+def decode_values(codes, key, mask):
+    """Invert encode_values, node-indexed in and out: the reference for decrypt.
+
+    The root's plaintext comes first; every other node's is filled in along
+    its path up to the nearest node already known.
+    """
+    m, root = key.m, key.tree.root
+    parents, flips = key.tree.parents, key.flips
+    root_code = codes[root] ^ mask if flips[root] else codes[root]
+    plain = [None] * m
+    plain[root] = reduce(lambda a, j: a ^ codes[j],
+                         (j for j in range(m) if j != root), root_code)
+    for node in range(m):
+        path = []
+        while plain[node] is None:
+            path.append(node)
+            node = parents[node]
+        for v in reversed(path):
+            c = codes[v] ^ mask if flips[v] else codes[v]
+            plain[v] = c ^ plain[parents[v]]
+    return plain
+
+
+def reference_deserialize_key(data, m):
+    """deserialize_key digit by digit, with the key built through its checks."""
+    if len(data) != key_nbytes(m):
+        raise KeyDecodeError(f"expected {key_nbytes(m)} bytes for m={m}, got {len(data)}")
+    index = int.from_bytes(data, "big")
+    if index >= key_space(m):
+        raise KeyDecodeError(f"key index {index} is not below key_space({m})")
+    ranks = []
+    for base in range(1, m + 1):
+        index, rank = divmod(index, base)
+        ranks.append(rank)
+    unplaced = list(range(m))
+    assignment = tuple(unplaced.pop(rank) for rank in reversed(ranks))
+    flips = tuple((index >> i) & 1 for i in range(m))
+    index >>= m
+    index, root = divmod(index, m)
+    seq = [0] * max(0, m - 2)
+    for i in range(len(seq) - 1, -1, -1):
+        index, seq[i] = divmod(index, m)
+    return CipherKey(tree_from_prufer(seq, m, root), flips, assignment)
+
+
+@st.composite
+def codec_cases(draw):
+    """(m, fragment length, key bytes): m in 1..16, fragments of 0..64 bytes."""
+    m = draw(st.integers(1, 16))
+    index = draw(st.integers(0, key_space(m) - 1))
+    return m, draw(st.integers(0, 64)), index.to_bytes(key_nbytes(m), "big")
+
+
+@settings(max_examples=300, deadline=None)
+@given(codec_cases(), st.data())
+def test_encrypt_and_decrypt_match_the_node_by_node_reference(case, data):
+    m, fl, key_bytes = case
+    key = deserialize_key(key_bytes, m)
+    assert key == reference_deserialize_key(key_bytes, m)
+    mask = (1 << (8 * fl)) - 1
+    block = data.draw(st.binary(min_size=m * fl, max_size=m * fl))
+    values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(m)]
+    codes = encode_values(values, key, mask)
+    fragments = encrypt(block, key)
+    assert fragments == [codes[node].to_bytes(fl, "big") for node in key.assignment]
+    # any m fragments decrypt to something, not only encrypt's
+    for frags in (fragments, data.draw(st.lists(st.binary(min_size=fl, max_size=fl),
+                                                min_size=m, max_size=m))):
+        node_codes = [0] * m
+        for node, frag in zip(key.assignment, frags):
+            node_codes[node] = int.from_bytes(frag, "big")
+        assert decrypt(frags, key) == b"".join(
+            v.to_bytes(fl, "big") for v in decode_values(node_codes, key, mask))
+    assert decrypt(fragments, key) == block
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.one_of(
+    st.binary(max_size=20), st.binary(min_size=key_nbytes(m), max_size=key_nbytes(m)),
+    st.integers(0, key_space(m) - 1).map(lambda i: i.to_bytes(key_nbytes(m), "big"))))))
+def test_deserialize_key_matches_the_reference(m_data):
+    m, data = m_data
+    try:
+        expected = reference_deserialize_key(data, m)
+    except KeyDecodeError:
+        with pytest.raises(KeyDecodeError):
+            deserialize_key(data, m)
+        return
+    key = deserialize_key(data, m)
+    assert key == expected
+    assert type(key.flips) is tuple and type(key.assignment) is tuple
 
 
 @pytest.mark.parametrize("m,expected", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625)])
