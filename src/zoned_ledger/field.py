@@ -5,8 +5,8 @@ Elements are plain Python ints reduced modulo the field prime; the
 Horner evaluation reduces once, at its end; barycentric interpolation
 takes one ``math.prod`` per weight and sums the weighted values as one
 running fraction, so it makes one inversion per call.
-``randbelow`` draws uniform ints from the same bits as
-``random.Random.randrange``, and ``randbelow_list`` a run of them.
+``randbelow_list`` draws a run of uniform ints from the same bits as
+that many calls of ``random.Random.randrange``.
 """
 
 import math
@@ -43,24 +43,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def randbelow(getrandbits, n: int) -> int:
-    """Uniform int in [0, n), n >= 1, from the bits random.Random.randrange(n) draws.
+def randbelow_list(getrandbits, n: int, count: int) -> list[int]:
+    """count uniform ints in [0, n), n >= 1, from the bits of count calls randrange(n).
 
     CPython's rejection loop (Random._randbelow_with_getrandbits), without
     randrange's argument checks: redraw n.bit_length() bits until below n.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def randbelow_list(getrandbits, n: int, count: int) -> list[int]:
-    """count calls of randbelow(getrandbits, n), bit for bit, in one loop.
-
-    Each value's rejection draws come before the next value's first
-    draw, as in count separate calls, but without a call per value.
+    Each value's rejection draws come before the next value's first draw.
     """
     k = n.bit_length()
     out = []
@@ -115,7 +103,7 @@ class Field:
         return f"Field({self.modulus})"
 
     def rand(self, rng) -> int:
-        return randbelow(rng.getrandbits, self.modulus)
+        return randbelow_list(rng.getrandbits, self.modulus, 1)[0]
 
     def eval_poly(self, coeffs, x: int) -> int:
         """sum(coeffs[i] * x^i) by Horner's rule on x mod p, reduced only at the end."""

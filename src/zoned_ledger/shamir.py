@@ -16,7 +16,7 @@ way, as one byte string.
 from collections import namedtuple
 
 from .errors import ConfigurationError, InsufficientSharesError, KeyDecodeError
-from .field import Field, prime_field, randbelow, randbelow_list
+from .field import Field, prime_field, randbelow_list
 
 Share = namedtuple("Share", "x y")
 
@@ -31,14 +31,12 @@ def _sample_abscissas(field: Field, n: int, rng, bound: int) -> list[int]:
         pool = list(range(1, bound))
         rng.shuffle(pool)
         return pool[:n]
-    seen: set[int] = set()
-    out = []
-    while len(out) < n:
-        x = 1 + randbelow(rng.getrandbits, bound - 1)
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
+    # draw the missing count at once and skip repeats: the same bits, in the
+    # same order, as one draw per abscissa; a dict keeps each value's first place
+    drawn: dict[int, None] = {}
+    while len(drawn) < n:
+        drawn.update(dict.fromkeys(randbelow_list(rng.getrandbits, bound - 1, n - len(drawn))))
+    return [r + 1 for r in drawn]
 
 
 def split(field: Field, secret: int, k: int, n: int, rng,

@@ -81,6 +81,8 @@ def tree_from_prufer(seq, m: int, root: int) -> RootedTree:
     without RootedTree's cycle walk, because every sequence of m-2
     digits below m is the sequence of a tree.
     """
+    if m < 1:
+        raise ConfigurationError(f"zone size must be >= 1, got m={m}")
     seq = list(seq)
     if len(seq) != max(0, m - 2) or any(not 0 <= v < m for v in seq + [root]):
         raise ValueError(f"no tree on {m} nodes has Prufer sequence {seq} and root {root}")
@@ -144,7 +146,7 @@ def prufer_sequence(tree: RootedTree) -> list[int]:
 def sample_tree(m: int, rng) -> RootedTree:
     """Uniform over the m^(m-1) rooted labeled trees: a root, then m-2 Prufer digits."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ConfigurationError(f"zone size must be >= 1, got m={m}")
     draws = randbelow_list(rng.getrandbits, m, max(1, m - 1))  # the root, then the digits
     return _prufer_tree(draws[1:], m, draws[0])
 
@@ -153,7 +155,7 @@ def sample_key(m: int, rng) -> CipherKey:
     """Uniform key: tree, i.i.d. fair flip bits, uniform peer assignment.
 
     The rng draws are those of m calls rng.randrange(2) and then
-    rng.shuffle(list(range(m))), bit for bit (see field.randbelow). The
+    rng.shuffle(list(range(m))), bit for bit (see field.randbelow_list). The
     key skips CipherKey's checks: the flips are 0/1 draws and the
     assignment is a shuffle of range(m).
     """
@@ -162,7 +164,8 @@ def sample_key(m: int, rng) -> CipherKey:
     flips = tuple(randbelow_list(getrandbits, 2, m))
     assignment = list(range(m))
     for i in range(m - 1, 0, -1):
-        # randbelow(getrandbits, i + 1), inlined
+        # randrange(i + 1)'s rejection loop, inlined: the bound changes on
+        # every draw, so randbelow_list's run of one bound does not fit
         k = (i + 1).bit_length()
         j = getrandbits(k)
         while j > i:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoned_ledger.errors import ConfigurationError
-from zoned_ledger.field import Field, is_prime, next_prime, randbelow, randbelow_list
+from zoned_ledger.field import Field, is_prime, next_prime, randbelow_list
 from zoned_ledger.ledger import hash_nbytes, share_field
 from zoned_ledger.shamir import reconstruct_bytes, split_bytes
 from zoned_ledger.tree_cipher import key_nbytes
@@ -79,6 +79,7 @@ def test_next_prime_matches_the_plain_loop_at_share_field_sizes(nbytes):
     assert next_prime(2 ** (8 * nbytes)) == plain_next_prime(2 ** (8 * nbytes))
 
 
+# "randbelow" in these names is CPython's Random._randbelow, which randrange(n) calls
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 16]
                          + SHARE_MODULI + [q - 1 for q in SHARE_MODULI])
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 40])
@@ -86,27 +87,28 @@ def test_randbelow_list_draws_what_repeated_randbelow_draws(n, count):
     for seed in range(20):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert randbelow_list(ours.getrandbits, n, count) == \
-            [randbelow(theirs.getrandbits, n) for _ in range(count)]
+            [theirs.randrange(n) for _ in range(count)]
         assert ours.getstate() == theirs.getstate()
 
 
 def test_randbelow_of_one_still_draws_bits():
     # randrange(1) draws one bit and redraws a 1, so a draw below 1 moves the stream
     ours, theirs = random.Random(3), random.Random(3)
-    assert randbelow(ours.getrandbits, 1) == 0
+    assert randbelow_list(ours.getrandbits, 1, 1) == [0]
     assert randbelow_list(ours.getrandbits, 1, 5) == [0] * 5
     assert ours.getstate() != random.Random(3).getstate()
     for _ in range(6):
-        theirs._randbelow(1)
+        assert theirs.randrange(1) == 0
     assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 16]
                          + SHARE_MODULI + [q - 1 for q in SHARE_MODULI])
 def test_randbelow_draws_what_randrange_draws(n):
+    # one value per call, as Field.rand draws it
     for seed in range(50):
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert [randbelow(ours.getrandbits, n) for _ in range(20)] == \
+        assert [randbelow_list(ours.getrandbits, n, 1)[0] for _ in range(20)] == \
             [theirs.randrange(n) for _ in range(20)]
         assert ours.random() == theirs.random()
 

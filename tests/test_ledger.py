@@ -20,6 +20,7 @@ from zoned_ledger.ledger import (GENESIS_HASH, SNAPSHOT_FORMAT, ChainConfig, Cha
 from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law, mining_hash
 from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct, reconstruct_bytes
+from zoned_ledger.tree_cipher import sample_key, sample_tree, tree_from_prufer
 
 
 def make_chain(n=8, m=4, block_bytes=16, blocks=4, seed=0, hash_width=64):
@@ -257,12 +258,16 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
     (lambda: mining_hash(-1, 8, b"", 64), ConfigurationError),
     (lambda: reconstruct(prime_field(16), [Share(3, 1)], 0), ConfigurationError),
     (lambda: reconstruct_bytes([Share(3, 1)], 1, -1), ConfigurationError),
+    (lambda: sample_key(0, random.Random(0)), ConfigurationError),
+    (lambda: sample_tree(-1, random.Random(0)), ConfigurationError),
+    (lambda: tree_from_prufer([], 0, 0), ConfigurationError),
 ], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
         "negative_q_bits", "hash_width_300", "hash_width_negative", "hash_width_0",
         "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
         "mining_hash_width_7", "mining_hash_nonce_past_its_bytes",
         "mining_hash_negative_nonce", "reconstruct_threshold_0",
-        "reconstruct_bytes_negative_length"])
+        "reconstruct_bytes_negative_length", "sample_key_m_0", "sample_tree_m_negative",
+        "tree_from_prufer_m_0"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
     # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
     # or (a hash width of 0 or 7) returned a hash that no chain can have, or (a

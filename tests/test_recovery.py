@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zoned_ledger import recovery
 from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
 from zoned_ledger.errors import (AmbiguousRecoveryError, ConfigurationError,
                                  UnrecoverableError, UnrepairableError)
@@ -304,6 +305,24 @@ def test_recover_block_decodes_each_zone_once(monkeypatch):
     assert sorted(calls) == [("zone_decode", tau, z) for tau in range(t, state.num_blocks)
                              for z in range(len(state.allocation(t)))]
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3, None])
+def test_recover_block_looks_up_each_group_zone_once_per_slot(monkeypatch, limit):
+    # the groups' zones at slot t, then at each scanned slot; a slot's list is
+    # reused as the groups' zones one slot back, never looked up again
+    state, _, t = contested_chain()
+    lookups = Counter()
+
+    def counted(lay, tau, g, _zone_of_group=recovery.zone_of_group):
+        lookups[tau] += 1
+        return _zone_of_group(lay, tau, g)
+    monkeypatch.setattr(recovery, "zone_of_group", counted)
+    report = recover_block(state, t, limit)
+    assert report.recovered == state.payloads[t]
+    groups = state.layout.num_groups
+    assert sum(lookups.values()) == groups * (report.slots_scanned + 1)
+    assert lookups == {tau: groups for tau in range(t, t + report.slots_scanned + 1)}
 
 
 def reference_recovery(state, t, scan_limit=None):

@@ -61,6 +61,26 @@ def test_default_bound_draws_the_whole_field_bit_for_bit():
     assert split(f, 5, 3, 4, random.Random(7), f.modulus) == split(f, 5, 3, 4, random.Random(7))
 
 
+def test_bounded_abscissas_are_one_randrange_each_skipping_repeats():
+    # 4n < 2^8 for every n here, so split takes the rejection path, and the larger
+    # n redraw many repeats: a batch that draws more values than are still missing
+    # reads other bits, or leaves the generator elsewhere
+    f, bound = prime_field(64), 2**8
+    for n in range(4, 61):
+        for seed in range(3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            xs = [s.x for s in split(f, 5, 3, n, ours, bound)]
+            for _ in range(2):  # the two random coefficients
+                theirs.randrange(f.modulus)
+            expected = []
+            while len(expected) < n:
+                x = 1 + theirs.randrange(bound - 1)
+                if x not in expected:
+                    expected.append(x)
+            assert xs == expected, (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
+
+
 @pytest.mark.parametrize("bound,n", [(2**64, 16), (2**8, 16), (2**8, 255), (6, 5), (64, 16)])
 def test_bounded_abscissas_are_distinct_and_below_the_bound(bound, n):
     f = prime_field(64)
