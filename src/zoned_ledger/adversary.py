@@ -91,6 +91,40 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> Tr
     return _summary(trials, successes, 1.0 / (q - m), seed)
 
 
+def _sample_range(getrandbits, n: int, k: int) -> list[int]:
+    """random.Random.sample(range(n), k), 0 <= k <= n, from the same getrandbits calls.
+
+    CPython's two branches, without sample's Sequence check and per-draw
+    method calls: a pool of the n values that each draw swaps its pick
+    out of, while that list is smaller than a k-element set, and else
+    draws below n, redrawn until unseen. Each draw is randrange's
+    rejection loop, as in field.randbelow_list.
+    """
+    setsize = 21  # sample's size of a small set minus that of an empty list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))  # a big set's table
+    out = []
+    if n <= setsize:
+        pool = list(range(n))
+        for left in range(n, n - k, -1):
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[left - 1]
+        return out
+    bits = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        out.append(j)
+    return out
+
+
 def _rewrites(m: int, per_zone_c, trials: int, seed: int) -> int:
     """Trials in which every zone's c random peers of m can rewrite node 0. Each
     zone draws a fresh key, then its peers; a trial stops at the first failure."""
@@ -98,11 +132,12 @@ def _rewrites(m: int, per_zone_c, trials: int, seed: int) -> int:
         raise ConfigurationError(f"need every c in [1, {m}], got {list(per_zone_c)}")
     _check_trials(trials)
     rng = random.Random(seed)
-    peers = list(range(m))
+    getrandbits = rng.getrandbits
     successes = 0
     for _ in range(trials):
         for c in per_zone_c:
-            if not corruption_oracle(sample_key(m, rng), rng.sample(peers, c), {0}):
+            if not corruption_oracle(sample_key(m, rng), _sample_range(getrandbits, m, c),
+                                     {0}):
                 break
         else:
             successes += 1
@@ -211,7 +246,11 @@ def availability_trial(n: int, m: int, rho: float, trials: int, seed: int) -> Tr
     O(block), not O(trials × n): whole trials while n fits in a block, and
     for a wider n one trial at a time in zone-aligned column blocks whose
     zone results are ORed. Generator.random fills doubles in stream order,
-    so the blocks draw the same values as one (trials, n) call.
+    so the blocks draw the same values as one (trials, n) call. A block's
+    coin tests are copied once into member-major order, shape (m, zones,
+    trials), so that the AND over members and then the OR over zones each
+    combine whole rows: no reduction runs along a short m- or
+    zones-wide axis.
     """
     layout(n, m)
     _check_rho(rho)
@@ -226,7 +265,8 @@ def availability_trial(n: int, m: int, rho: float, trials: int, seed: int) -> Tr
         alive = np.zeros(k, dtype=bool)
         for col in range(0, n, cols):
             active = gen.random((k, min(cols, n - col))) >= rho
-            alive |= active.reshape(k, -1, m).all(axis=2).any(axis=1)
+            active = np.ascontiguousarray(active.reshape(k, -1, m).T)  # (m, zones, k)
+            alive |= active.all(axis=0).any(axis=0)
         successes += int(alive.sum())
     return _summary(trials, successes, availability_closed_form(n, m, rho), seed)
 

@@ -4,15 +4,18 @@ Subcommands: simulate, attack, availability, mining, storage-cost,
 coverage. Every run is a pure function of (config, seed): records are
 emitted as sorted JSON lines (to --out or stdout) followed by an
 aligned summary table on stdout.
+
+Importing this module loads the ledger, recovery and adversary layers.
+The rest loads when a run first needs it: argparse with the parser,
+mining with the mining subcommand, decimal with coverage, and numpy
+inside the availability trial.
 """
 
-import argparse
-import decimal
 import json
 import random
 import sys
 
-from . import adversary, mining, zones
+from . import adversary, zones
 from .errors import ConfigurationError, MiningExhaustedError
 from .ledger import ChainConfig, ChainState, storage_cost_formula
 from .recovery import recover_block
@@ -97,6 +100,7 @@ def cmd_availability(args) -> int:
 
 
 def cmd_mining(args) -> int:
+    from . import mining
     if args.nonce_bits < 0:
         raise ConfigurationError(f"--nonce-bits must be >= 0, got {args.nonce_bits}")
     fractions = (DEFAULT_FRACTIONS if args.target_fraction is None
@@ -142,6 +146,7 @@ def cmd_coverage(args) -> int:
                     met[row + b] = 1
     all_pairs = 0 not in met
     # Decimal, not str(int): no 4300-digit limit, which the count passes near n = 1800 at m = 4
+    import decimal
     count = str(decimal.Decimal(zones.allocation_count(args.n, args.m)))
     record = {
         "kind": "coverage", "n": args.n, "m": args.m, "period": period,
@@ -154,7 +159,8 @@ def cmd_coverage(args) -> int:
     return 0 if all_pairs else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
     parser = argparse.ArgumentParser(
         prog="zoned-ledger",
         description="Zone-coded distributed ledger storage experiments")

@@ -2,7 +2,8 @@
 
 
 class ConfigurationError(ValueError):
-    """A structural parameter (field modulus, n, m, L, ...) is invalid."""
+    """A structural parameter (field modulus, n, m, L, ...) or an argument's
+    shape (a tree, key, block or fragment list) is invalid."""
 
 
 class InsufficientSharesError(ValueError):

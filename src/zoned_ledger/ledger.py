@@ -141,7 +141,7 @@ class ChainState:
 
     def _check_payload(self, payload: bytes) -> None:
         if len(payload) != (size := self.config.block_bytes):
-            raise ValueError(f"payload must be {size} bytes, got {len(payload)}")
+            raise ConfigurationError(f"payload must be {size} bytes, got {len(payload)}")
 
     def encode_zone(self, t: int, z: int, payload: bytes, prev_hash: int, rng) -> None:
         """Store payload as zone z's block t under a fresh key, chained to prev_hash."""

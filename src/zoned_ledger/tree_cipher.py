@@ -26,9 +26,9 @@ class RootedTree(namedtuple("RootedTree", "parents root")):
     def __new__(cls, parents, root):
         m = len(parents)
         if not 0 <= root < m or parents[root] != root:
-            raise ValueError("root must be its own parent")
+            raise ConfigurationError("root must be its own parent")
         if min(parents) < 0 or max(parents) >= m:
-            raise ValueError("parent pointers must name nodes")
+            raise ConfigurationError("parent pointers must name nodes")
         # walk[v] is the first walk up the parent pointers to pass v. A node an
         # earlier walk passed reaches the root, so walk i stops there, or at a node
         # it passed itself, which closes a cycle. Each node is walked once.
@@ -40,7 +40,7 @@ class RootedTree(namedtuple("RootedTree", "parents root")):
                 walk[node] = i
                 node = parents[node]
             if walk[node] == i:
-                raise ValueError("parent pointers contain a cycle")
+                raise ConfigurationError("parent pointers contain a cycle")
         return super().__new__(cls, parents, root)
 
     @property
@@ -56,9 +56,9 @@ class CipherKey(namedtuple("CipherKey", "tree flips assignment")):
     def __new__(cls, tree: RootedTree, flips, assignment):
         m = tree.m
         if len(flips) != m or any(b not in (0, 1) for b in flips):
-            raise ValueError("flips must be m bits")
+            raise ConfigurationError("flips must be m bits")
         if sorted(assignment) != list(range(m)):
-            raise ValueError("assignment must be a permutation of [m]")
+            raise ConfigurationError("assignment must be a permutation of [m]")
         return super().__new__(cls, tree, flips, assignment)
 
     @property
@@ -85,7 +85,7 @@ def tree_from_prufer(seq, m: int, root: int) -> RootedTree:
         raise ConfigurationError(f"zone size must be >= 1, got m={m}")
     seq = list(seq)
     if len(seq) != max(0, m - 2) or any(not 0 <= v < m for v in seq + [root]):
-        raise ValueError(f"no tree on {m} nodes has Prufer sequence {seq} and root {root}")
+        raise ConfigurationError(f"no tree on {m} nodes has Prufer sequence {seq} and root {root}")
     return _prufer_tree(seq, m, root)
 
 
@@ -183,7 +183,7 @@ def encrypt(block: bytes, key: CipherKey) -> list[bytes]:
     """
     m = key.m
     if len(block) % m != 0:
-        raise ValueError(f"block length {len(block)} not divisible by m={m}")
+        raise ConfigurationError(f"block length {len(block)} not divisible by m={m}")
     fl = len(block) // m
     mask = (1 << (8 * fl)) - 1
     values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(m)]
@@ -204,9 +204,9 @@ def decrypt(fragments, key: CipherKey) -> bytes:
     fragments = list(fragments)
     m = key.m
     if len(fragments) != m:
-        raise ValueError(f"expected {m} fragments, got {len(fragments)}")
+        raise ConfigurationError(f"expected {m} fragments, got {len(fragments)}")
     if len({len(f) for f in fragments}) != 1:
-        raise ValueError("fragments must have equal lengths")
+        raise ConfigurationError("fragments must have equal lengths")
     fl = len(fragments[0])
     mask = (1 << (8 * fl)) - 1
     parents, root, flips = key.tree.parents, key.tree.root, key.flips

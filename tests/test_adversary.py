@@ -4,8 +4,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zoned_ledger.adversary import (availability_bounds,
+from zoned_ledger.adversary import (_sample_range, availability_bounds,
                                     availability_closed_form,
                                     availability_trial,
                                     consistent_corruption_trial,
@@ -190,14 +192,34 @@ def one_shot_availability_successes(n, m, rho, trials, seed):
 
 @pytest.mark.parametrize("n,m,trials", [(16, 4, 10_000), (64, 4, 2048), (24, 4, 1),
                                         (2**16 + 4, 4, 3), (2**16 + 8, 12, 2),
-                                        (3 * 2**16, 8, 2)],
+                                        (3 * 2**16, 8, 2), (8, 8, 3000), (10, 2, 7000),
+                                        (64, 16, 1500)],
                          ids=["partial_last_block", "exact_multiple", "fewer_trials_than_rows",
                               "one_row_per_block", "zone_aligned_column_blocks",
-                              "whole_column_blocks"])
+                              "whole_column_blocks", "one_zone", "pairs", "wide_zones"])
 def test_availability_trial_matches_one_shot_draw(n, m, trials):
     for seed, rho in [(1, 0.5), (7, 0.05)]:
         s = availability_trial(n, m, rho, trials, seed)
         assert s.successes == one_shot_availability_successes(n, m, rho, trials, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([2, 4, 6, 8, 16]),
+       st.floats(0, 1, exclude_max=True), st.integers(1, 3000), st.integers(0, 2**32))
+def test_availability_trial_matches_one_shot_draw_for_any_shape(zones, m, rho, trials, seed):
+    n = zones * m
+    s = availability_trial(n, m, rho, trials, seed)
+    assert s.successes == one_shot_availability_successes(n, m, rho, trials, seed)
+
+
+def test_peer_draw_is_random_sample_of_a_range():
+    # n up to 120 and k up to 40: the pool branch, its larger set size for k > 5,
+    # and the set branch
+    for n in range(121):
+        for k in range(min(n, 40) + 1):
+            ours, theirs = random.Random(n * 41 + k), random.Random(n * 41 + k)
+            assert _sample_range(ours.getrandbits, n, k) == theirs.sample(range(n), k), (n, k)
+            assert ours.getstate() == theirs.getstate(), (n, k)
 
 
 def test_availability_trial_memory_does_not_grow_with_trials():

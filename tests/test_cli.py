@@ -208,6 +208,21 @@ for name in ("dataclasses", "inspect"):
 """
 
 
+LAZY_PROBE = """
+import sys
+from zoned_ledger import adversary, cli, ledger, recovery, shamir
+for name in ("zoned_ledger.mining", "argparse"):
+    assert name not in sys.modules, f"{name} loaded on import"
+for argv in (["simulate", "--n", "8", "--m", "4", "--blocks", "3"],
+             ["attack", "--m", "4", "--trials", "50"], ["availability", "--trials", "100"],
+             ["coverage", "--n", "8", "--m", "4"], ["storage-cost"]):
+    assert cli.main(argv + ["--seed", "0"]) == 0, argv
+assert "zoned_ledger.mining" not in sys.modules, "a subcommand other than mining loaded it"
+assert cli.main(["mining", "--trials", "2", "--nonce-bits", "12", "--seed", "0"]) == 0
+assert "zoned_ledger.mining" in sys.modules
+"""
+
+
 def run_fresh(code):
     """Run code in a fresh interpreter that imports the library from src."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -224,6 +239,12 @@ def test_only_the_availability_trial_loads_numpy():
 def test_library_loads_neither_dataclasses_nor_inspect():
     # importing dataclasses pulls in inspect, ast, dis and tokenize: 8-10 ms of every process
     result = run_fresh(IMPORT_PROBE)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_subcommand_loads_mining_and_argparse_only_when_it_runs():
+    # the library import stays free of them; only the mining subcommand loads mining
+    result = run_fresh(LAZY_PROBE)
     assert result.returncode == 0, result.stderr
 
 

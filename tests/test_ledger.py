@@ -20,7 +20,8 @@ from zoned_ledger.ledger import (GENESIS_HASH, SNAPSHOT_FORMAT, ChainConfig, Cha
 from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law, mining_hash
 from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct, reconstruct_bytes
-from zoned_ledger.tree_cipher import sample_key, sample_tree, tree_from_prufer
+from zoned_ledger.tree_cipher import (CipherKey, RootedTree, decrypt, encrypt, sample_key,
+                                      sample_tree, tree_from_prufer)
 
 
 def make_chain(n=8, m=4, block_bytes=16, blocks=4, seed=0, hash_width=64):
@@ -261,13 +262,28 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
     (lambda: sample_key(0, random.Random(0)), ConfigurationError),
     (lambda: sample_tree(-1, random.Random(0)), ConfigurationError),
     (lambda: tree_from_prufer([], 0, 0), ConfigurationError),
+    (lambda: tree_from_prufer([5], 3, 0), ConfigurationError),
+    (lambda: RootedTree((1, 0), 0), ConfigurationError),
+    (lambda: RootedTree((0, 5), 0), ConfigurationError),
+    (lambda: RootedTree((0, 2, 1), 0), ConfigurationError),
+    (lambda: CipherKey(RootedTree((0, 0, 1), 0), (0, 2, 0), (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(RootedTree((0, 0, 1), 0), (0, 0, 0), (0, 0, 1)), ConfigurationError),
+    (lambda: encrypt(bytes(5), sample_key(4, random.Random(0))), ConfigurationError),
+    (lambda: decrypt([bytes(2)] * 3, sample_key(4, random.Random(0))), ConfigurationError),
+    (lambda: decrypt([bytes(2)] * 3 + [bytes(3)], sample_key(4, random.Random(0))),
+     ConfigurationError),
+    (lambda: make_chain(blocks=0)[0].commit_block(bytes(15), random.Random(0)),
+     ConfigurationError),
 ], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
         "negative_q_bits", "hash_width_300", "hash_width_negative", "hash_width_0",
         "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
         "mining_hash_width_7", "mining_hash_nonce_past_its_bytes",
         "mining_hash_negative_nonce", "reconstruct_threshold_0",
         "reconstruct_bytes_negative_length", "sample_key_m_0", "sample_tree_m_negative",
-        "tree_from_prufer_m_0"])
+        "tree_from_prufer_m_0", "tree_from_prufer_digit_past_m", "tree_root_not_own_parent",
+        "tree_parent_past_m", "tree_cycle", "key_flip_not_a_bit",
+        "key_assignment_not_a_permutation", "encrypt_block_not_divisible",
+        "decrypt_fragment_count", "decrypt_fragment_lengths", "payload_length"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
     # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
     # or (a hash width of 0 or 7) returned a hash that no chain can have, or (a
@@ -610,3 +626,13 @@ def test_zone_decode_returns_for_any_share_values(width, ys):
     block, prev_hash = state.zone_decode(0, 0)
     assert block is None or len(block) == 16
     assert prev_hash is None or 0 <= prev_hash < 2**width
+
+
+def test_zone_decode_of_a_fragment_of_another_length_reads_no_block():
+    # decrypt's typed error is a ValueError, which the decode catches: the zone reads
+    # no block, and its shares still give the previous hash
+    state, _ = make_chain(n=8, m=4, blocks=1)
+    peer = state.allocation(0)[0][0]
+    rec = state.records[0][peer]
+    state.records[0][peer] = rec._replace(fragment=rec.fragment + b"\x00")
+    assert state.zone_decode(0, 0) == (None, state.hashes[0])

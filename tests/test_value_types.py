@@ -60,10 +60,10 @@ TREE = RootedTree((0, 0, 1), 0)
     (lambda: ChainConfig(n=24, m=4, block_bytes=48, hash_width=4), ConfigurationError),
     (lambda: DifficultyTarget(64, 0.0), ConfigurationError),
     (lambda: DifficultyTarget(4, 0.5), ConfigurationError),
-    (lambda: RootedTree((1, 0), 0), ValueError),
-    (lambda: RootedTree((0, 2, 1, 2), 0), ValueError),
-    (lambda: CipherKey(TREE, (0, 2, 0), (0, 1, 2)), ValueError),
-    (lambda: CipherKey(TREE, (0, 0, 0), (0, 0, 1)), ValueError),
+    (lambda: RootedTree((1, 0), 0), ConfigurationError),
+    (lambda: RootedTree((0, 2, 1, 2), 0), ConfigurationError),
+    (lambda: CipherKey(TREE, (0, 2, 0), (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(TREE, (0, 0, 0), (0, 0, 1)), ConfigurationError),
 ], ids=["config_m_odd", "config_block_bytes", "config_hash_width", "target_fraction",
         "target_width", "tree_root", "tree_cycle", "key_flips", "key_assignment"])
 def test_value_types_reject_bad_arguments(make, error):
