@@ -91,53 +91,19 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> Tr
     return _summary(trials, successes, 1.0 / (q - m), seed)
 
 
-def _sample_range(getrandbits, n: int, k: int) -> list[int]:
-    """random.Random.sample(range(n), k), 0 <= k <= n, from the same getrandbits calls.
-
-    CPython's two branches, without sample's Sequence check and per-draw
-    method calls: a pool of the n values that each draw swaps its pick
-    out of, while that list is smaller than a k-element set, and else
-    draws below n, redrawn until unseen. Each draw is randrange's
-    rejection loop, as in field.randbelow_list.
-    """
-    setsize = 21  # sample's size of a small set minus that of an empty list
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))  # a big set's table
-    out = []
-    if n <= setsize:
-        pool = list(range(n))
-        for left in range(n, n - k, -1):
-            bits = left.bit_length()
-            j = getrandbits(bits)
-            while j >= left:
-                j = getrandbits(bits)
-            out.append(pool[j])
-            pool[j] = pool[left - 1]
-        return out
-    bits = n.bit_length()
-    selected = set()
-    for _ in range(k):
-        j = getrandbits(bits)
-        while j >= n or j in selected:
-            j = getrandbits(bits)
-        selected.add(j)
-        out.append(j)
-    return out
-
-
 def _rewrites(m: int, per_zone_c, trials: int, seed: int) -> int:
-    """Trials in which every zone's c random peers of m can rewrite node 0. Each
-    zone draws a fresh key, then its peers; a trial stops at the first failure."""
+    """Trials in which every zone's peers 0 to c-1 of m can rewrite node 0. Each
+    zone draws a fresh key; a trial stops at the first failure. The key's peer
+    assignment is a uniform permutation drawn apart from its tree, so a fixed
+    c-set of peers holds a uniform c-set of nodes, as c random peers would."""
     if not all(1 <= c <= m for c in per_zone_c):
         raise ConfigurationError(f"need every c in [1, {m}], got {list(per_zone_c)}")
     _check_trials(trials)
     rng = random.Random(seed)
-    getrandbits = rng.getrandbits
     successes = 0
     for _ in range(trials):
         for c in per_zone_c:
-            if not corruption_oracle(sample_key(m, rng), _sample_range(getrandbits, m, c),
-                                     {0}):
+            if not corruption_oracle(sample_key(m, rng), range(c), {0}):
                 break
         else:
             successes += 1
@@ -145,11 +111,12 @@ def _rewrites(m: int, per_zone_c, trials: int, seed: int) -> int:
 
 
 def zone_corruption_trial(m: int, c: int, trials: int, seed: int) -> TrialSummary:
-    """Probability that c randomly corrupted peers can rewrite one fragment.
+    """Probability that c corrupted peers of a zone can rewrite one fragment.
 
     The target is a fixed plaintext position (node 0); success requires
-    corrupting the peers holding node 0's subtree and the root. Compared
-    against the c(c-1)/(m(m-1)) bound.
+    corrupting the peers holding node 0's subtree and the root. Peers 0 to
+    c-1 are corrupted; each trial's fresh key hands them a uniform c-set of
+    nodes. Compared against the c(c-1)/(m(m-1)) bound.
     """
     bound = c * (c - 1) / (m * (m - 1)) if m > 1 else 1.0
     return _summary(trials, _rewrites(m, [c], trials, seed), bound, seed)
@@ -162,9 +129,9 @@ def zone_corruption_exact(m: int, c: int) -> float:
     in 1/m of the m^(m-1) rooted trees, and then all m nodes are
     required; otherwise |subtree(0)| = s in (m-1)·C(m-2, s-1)·s^(s-2)·
     (m-s)^(m-s-1) of them, by counting rooted forests (Moon, Counting
-    Labelled Trees, 1970). The assignment and the corrupted c-subset are
-    uniform, so r required nodes are all corrupted with probability
-    C(m-r, c-r)/C(m, c).
+    Labelled Trees, 1970). The assignment is uniform and apart from the
+    tree, so for any c corrupted peers, r required nodes are all corrupted
+    with probability C(m-r, c-r)/C(m, c).
     """
     if not 1 <= c <= m:
         raise ConfigurationError("need 1 <= c <= m")

@@ -124,11 +124,11 @@ class Field:
         f(x0) = y_i.
         """
         if not points:
-            raise ValueError("need at least one point")
+            raise ConfigurationError("need at least one point")
         mod = self.modulus
         xs = [x % mod for x, _ in points]
         if len(set(xs)) != len(xs):
-            raise ValueError("duplicate abscissa in interpolation points")
+            raise ConfigurationError("duplicate abscissa in interpolation points")
         x0 %= mod
         if x0 in xs:
             return points[xs.index(x0)][1] % mod

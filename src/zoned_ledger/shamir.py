@@ -62,7 +62,7 @@ def reconstruct(field: Field, shares, k: int) -> int:
         raise InsufficientSharesError(f"got {len(shares)} shares, need {k}")
     try:
         return field.lagrange_interpolate(shares[:k], 0)
-    except ValueError as exc:  # two of the shares at one abscissa
+    except ConfigurationError as exc:  # two of the shares at one abscissa
         raise InsufficientSharesError(f"{exc}: fewer than {k} distinct shares") from None
 
 

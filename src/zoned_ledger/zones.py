@@ -13,7 +13,7 @@ the groups at positions z and P - z. ``zone_groups`` and its inverse
 import math
 from collections import namedtuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SlotError
 
 
 class GroupLayout(namedtuple("GroupLayout", "n m")):
@@ -69,10 +69,11 @@ def allocation_at(lay: GroupLayout, t: int) -> list[tuple[int, ...]]:
 
 
 def zone_of(zones, peer: int) -> int:
+    """The index of the zone in zones that holds peer; SlotError if none does."""
     for z, members in enumerate(zones):
         if peer in members:
             return z
-    raise ValueError(f"peer {peer} not in any zone")
+    raise SlotError(f"peer {peer} not in any zone")
 
 
 def coverage_slots(n: int, m: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoned_ledger.adversary import (_sample_range, availability_bounds,
+from zoned_ledger.adversary import (availability_bounds,
                                     availability_closed_form,
                                     availability_trial,
                                     consistent_corruption_trial,
@@ -19,6 +19,7 @@ from zoned_ledger.adversary import (_sample_range, availability_bounds,
 from zoned_ledger.errors import ConfigurationError, UnrecoverableError
 from zoned_ledger.ledger import ChainConfig, ChainState
 from zoned_ledger.recovery import recover_block
+from zoned_ledger.tree_cipher import corruption_oracle, key_space
 
 from test_tree_cipher import decode_values, encode_values
 
@@ -60,6 +61,18 @@ def test_zone_corruption_matches_exhaustive(m, c):
         max(exact * (1 - exact), 1e-9) / s.trials)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_every_coalition_of_c_peers_wins_under_the_same_share_of_keys(m):
+    # The trials corrupt peers 0 to c-1; that is as good as a random c-set
+    # only if every c-set of peers wins under exactly the same keys' count.
+    keys = list(enumerate_keys(m))
+    for c in range(1, m + 1):
+        wins = round(zone_corruption_exact(m, c) * key_space(m))
+        for coalition in itertools.combinations(range(m), c):
+            assert sum(corruption_oracle(key, coalition, {0}) for key in keys) == wins, \
+                (m, coalition)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 8, 16])
 def test_zone_corruption_exact_below_bound(m):
     for c in range(2, m):
@@ -94,13 +107,14 @@ def test_consistent_corruption_joint_product():
 
 
 def test_corruption_trials_keep_their_draws():
-    # Each zone draws its key, then its c peers, and a trial stops at the
-    # first zone that fails: a change of that order changes these counts.
+    # Each zone draws one key and corrupts its peers 0 to c-1, and a trial
+    # stops at the first zone that fails: a change of that order changes
+    # these counts.
     assert [zone_corruption_trial(6, c, 500, 40 + c).successes
-            for c in range(1, 7)] == [0, 19, 42, 101, 215, 500]
+            for c in range(1, 7)] == [0, 17, 47, 84, 196, 500]
     assert [consistent_corruption_trial(24, 6, per_zone, 2000, seed).successes
             for per_zone, seed in [([5, 5], 5), ([3, 4, 6], 7), ([6], 1), ([2, 6, 6, 1], 9)]
-            ] == [310, 28, 2000, 0]
+            ] == [320, 34, 2000, 0]
 
 
 @pytest.mark.parametrize("per_zone", [[0], [7], [-1], [3, 0], [], [2] * 5],
@@ -210,16 +224,6 @@ def test_availability_trial_matches_one_shot_draw_for_any_shape(zones, m, rho, t
     n = zones * m
     s = availability_trial(n, m, rho, trials, seed)
     assert s.successes == one_shot_availability_successes(n, m, rho, trials, seed)
-
-
-def test_peer_draw_is_random_sample_of_a_range():
-    # n up to 120 and k up to 40: the pool branch, its larger set size for k > 5,
-    # and the set branch
-    for n in range(121):
-        for k in range(min(n, 40) + 1):
-            ours, theirs = random.Random(n * 41 + k), random.Random(n * 41 + k)
-            assert _sample_range(ours.getrandbits, n, k) == theirs.sample(range(n), k), (n, k)
-            assert ours.getstate() == theirs.getstate(), (n, k)
 
 
 def test_availability_trial_memory_does_not_grow_with_trials():

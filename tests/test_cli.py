@@ -305,7 +305,7 @@ SWEEPS_AVAILABILITY = ("availability", "--n", "16", "--m", "4", "--rho", "0.5",
 
 PINNED_STDOUT = {
     ("attack", "--m", "4", "--trials", "500", "--seed", "1"):
-        "6859d57b6313017871c3329934676000b57a697ed049f27c67ddea1444dfaabb",
+        "77a0339f246a1dab2b8cb793a1233534888543c293963a97254a5d1776be4afe",
     ("mining", "--trials", "20", "--seed", "3"):
         "f53e403fb2b397f61456c68e3c8aa79fa58fbe4e7bdf5d7a06dc121c326907f7",
     ("availability", "--trials", "2000", "--seed", "2"):

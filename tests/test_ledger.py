@@ -22,6 +22,7 @@ from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct, reconstruct_bytes
 from zoned_ledger.tree_cipher import (CipherKey, RootedTree, decrypt, encrypt, sample_key,
                                       sample_tree, tree_from_prufer)
+from zoned_ledger.zones import allocation_at, layout, zone_of
 
 
 def make_chain(n=8, m=4, block_bytes=16, blocks=4, seed=0, hash_width=64):
@@ -274,6 +275,9 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
      ConfigurationError),
     (lambda: make_chain(blocks=0)[0].commit_block(bytes(15), random.Random(0)),
      ConfigurationError),
+    (lambda: zone_of(allocation_at(layout(8, 4), 0), 99), SlotError),
+    (lambda: prime_field(16).lagrange_interpolate([], 0), ConfigurationError),
+    (lambda: prime_field(16).lagrange_interpolate([(3, 1), (3, 2)], 0), ConfigurationError),
 ], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
         "negative_q_bits", "hash_width_300", "hash_width_negative", "hash_width_0",
         "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
@@ -283,7 +287,8 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
         "tree_from_prufer_m_0", "tree_from_prufer_digit_past_m", "tree_root_not_own_parent",
         "tree_parent_past_m", "tree_cycle", "key_flip_not_a_bit",
         "key_assignment_not_a_permutation", "encrypt_block_not_divisible",
-        "decrypt_fragment_count", "decrypt_fragment_lengths", "payload_length"])
+        "decrypt_fragment_count", "decrypt_fragment_lengths", "payload_length",
+        "zone_of_peer_in_no_zone", "interpolate_no_points", "interpolate_duplicate_abscissa"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
     # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
     # or (a hash width of 0 or 7) returned a hash that no chain can have, or (a
