@@ -7,8 +7,8 @@ aligned summary table on stdout.
 
 Importing this module loads the ledger, recovery and adversary layers.
 The rest loads when a run first needs it: argparse with the parser,
-mining with the mining subcommand, decimal with coverage, and numpy
-inside the availability trial.
+mining with the mining subcommand, and decimal with coverage. Every
+module is the package's own or the standard library's.
 """
 
 import json

@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zoned_ledger import adversary
 from zoned_ledger.adversary import (availability_bounds,
                                     availability_closed_form,
                                     availability_trial,
@@ -197,37 +199,90 @@ def test_availability_trial_matches_closed_form():
             max(p * (1 - p), 1e-9) / s.trials)
 
 
-def one_shot_availability_successes(n, m, rho, trials, seed):
-    # the reference: all (trials, n) coins in one draw
-    import numpy as np
-    active = np.random.default_rng(seed).random((trials, n)) >= rho
-    return int(active.reshape(trials, n // m, m).all(axis=2).any(axis=1).sum())
+def digit_planes(j):
+    """A getrandbits stub over 2^j coins: plane p gives coin i binary digit p of
+    i / 2^j, so coin i's uniform is exactly i / 2^j."""
+    shifts = iter(range(j - 1, -1, -1))
+
+    def getrandbits(bits):
+        assert bits == 2**j
+        shift = next(shifts, None)
+        assert shift is not None, "drew more planes than rho has digits"
+        return sum(1 << i for i in range(bits) if i >> shift & 1)
+    return getrandbits
 
 
-@pytest.mark.parametrize("n,m,trials", [(16, 4, 10_000), (64, 4, 2048), (24, 4, 1),
-                                        (2**16 + 4, 4, 3), (2**16 + 8, 12, 2),
-                                        (3 * 2**16, 8, 2), (8, 8, 3000), (10, 2, 7000),
-                                        (64, 16, 1500)],
+@pytest.mark.parametrize("j,a", sorted({(j, a) for j in (1, 2, 3, 5, 8)
+                                        for a in (0, 1, 3, 2**(j - 1) + 1, 2**j - 1)
+                                        if a < 2**j}))
+def test_coin_is_active_with_probability_exactly_one_minus_rho(j, a):
+    # every uniform i / 2^j once: U >= a / 2^j for exactly the coins i >= a
+    active = adversary._active_coins(digit_planes(j), 2**j, a / 2**j)
+    assert active == (1 << 2**j) - (1 << a)
+    assert active.bit_count() == 2**j - a
+
+
+def per_coin_successes(n, m, rho, trials, seed):
+    """The reference: the trial's blocks and bit-planes, each coin compared with
+    rho's binary digits on its own, and each zone and trial read coin by coin."""
+    getrandbits = random.Random(seed).getrandbits
+    num, den = rho.as_integer_ratio()
+    digits = [num >> p & 1 for p in range(den.bit_length() - 2, -1, -1)]
+    rows = max(1, adversary._DRAW_BLOCK // n)
+    cols = max(m, adversary._DRAW_BLOCK // m * m)
+    successes = 0
+    for start in range(0, trials, rows):
+        k = min(rows, trials - start)
+        alive = [False] * k
+        for col in range(0, n, cols):
+            w = min(cols, n - col)
+            active = [None] * (k * w)  # None while the coin's digits equal rho's
+            for digit in digits:
+                if None not in active:
+                    break
+                plane = f"{getrandbits(k * w):0{k * w}b}"[::-1]  # plane[i]: coin i's digit
+                for i, state in enumerate(active):
+                    if state is None and int(plane[i]) != digit:
+                        active[i] = digit == 0
+            for t in range(k):
+                zones = [active[t * w + z * m:t * w + (z + 1) * m] for z in range(w // m)]
+                alive[t] |= any(False not in zone for zone in zones)
+        successes += sum(alive)
+    return successes
+
+
+@pytest.mark.parametrize("n,m,trials", [(16, 4, 10), (16, 4, 8), (24, 4, 1), (68, 4, 3),
+                                        (72, 12, 2), (192, 8, 2), (256, 128, 2), (8, 8, 30),
+                                        (10, 2, 70), (32, 16, 15)],
                          ids=["partial_last_block", "exact_multiple", "fewer_trials_than_rows",
                               "one_row_per_block", "zone_aligned_column_blocks",
-                              "whole_column_blocks", "one_zone", "pairs", "wide_zones"])
-def test_availability_trial_matches_one_shot_draw(n, m, trials):
-    for seed, rho in [(1, 0.5), (7, 0.05)]:
+                              "whole_column_blocks", "zone_wider_than_a_block", "one_zone",
+                              "pairs", "wide_zones"])
+def test_availability_trial_matches_per_coin_reference(monkeypatch, n, m, trials):
+    monkeypatch.setattr(adversary, "_DRAW_BLOCK", 64)  # every block shape at a small size
+    for seed, rho in [(1, 0.5), (7, 0.05), (3, 0.0), (4, 0.75)]:
         s = availability_trial(n, m, rho, trials, seed)
-        assert s.successes == one_shot_availability_successes(n, m, rho, trials, seed)
+        assert s.successes == per_coin_successes(n, m, rho, trials, seed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.sampled_from([2, 4, 6, 8, 16]),
        st.floats(0, 1, exclude_max=True), st.integers(1, 3000), st.integers(0, 2**32))
-def test_availability_trial_matches_one_shot_draw_for_any_shape(zones, m, rho, trials, seed):
+def test_availability_trial_matches_per_coin_reference_for_any_shape(zones, m, rho, trials,
+                                                                     seed):
     n = zones * m
     s = availability_trial(n, m, rho, trials, seed)
-    assert s.successes == one_shot_availability_successes(n, m, rho, trials, seed)
+    assert s.successes == per_coin_successes(n, m, rho, trials, seed)
+
+
+def test_availability_trial_reads_rho_as_its_double():
+    # a Fraction's denominator is no power of two: its digits are those of float(rho)
+    for rho in [Fraction(1, 3), Fraction(1, 2), 0]:
+        s = availability_trial(16, 4, rho, 500, 1)
+        assert s.successes == availability_trial(16, 4, float(rho), 500, 1).successes
 
 
 def test_availability_trial_memory_does_not_grow_with_trials():
-    import numpy.random  # noqa: F401  loaded before tracing: measure the draw, not the import
     availability_trial(16, 4, 0.5, 10, seed=0)
     tracemalloc.start()
     try:
@@ -239,7 +294,6 @@ def test_availability_trial_memory_does_not_grow_with_trials():
 
 
 def test_availability_trial_memory_does_not_grow_with_n():
-    import numpy.random  # noqa: F401  loaded before tracing: measure the draw, not the import
     availability_trial(16, 4, 0.5, 1, seed=0)
     tracemalloc.start()
     try:

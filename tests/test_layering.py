@@ -13,6 +13,10 @@ checks; only tree_cipher.py may call them, on values it built itself.
 Every parameter of every library function is read in its body: a knob
 that changes nothing is a parameter to remove, not one to document.
 
+Every module the library imports, at module level or inside a function, is
+the package itself or one of the standard library: it needs no third-party
+package to run.
+
 Every public function and class of the library, and every public method
 of a public class, has a caller: it is loaded (as a name, an attribute or
 a from-import) elsewhere in the library than its own definition and the
@@ -23,6 +27,7 @@ keeps the few that serve a stated contract without such a caller.
 """
 
 import ast
+import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -185,6 +190,42 @@ def test_every_parameter_is_read(name):
 ], ids=["positional", "varargs", "keyword_only", "kwargs", "self", "lambda"])
 def test_the_parameter_check_catches_what_it_forbids(source):
     assert unread_parameters(ast.parse(source))
+
+
+# mining tries CPython's builtin SHA-256 module under both its names: _sha256, and
+# _sha2 from 3.12 on; each interpreter's stdlib_module_names lists only its own
+STDLIB = sys.stdlib_module_names | {"_sha256", "_sha2"}
+
+
+def foreign_imports(tree):
+    """(line, module) for each import of a module that is neither the package
+    (relative or by name) nor in the standard library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.partition(".")[0] not in STDLIB | {"zoned_ledger"}]
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_the_library_imports_only_itself_and_the_standard_library(name):
+    assert foreign_imports(_tree(name)) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np",
+    "def f():\n    import numpy.random",
+    "from numpy import random",
+    "import math, hypothesis",
+], ids=["module_level", "inside_a_function", "from_import", "second_of_two"])
+def test_the_import_check_catches_what_it_forbids(source):
+    assert foreign_imports(ast.parse(source))
 
 
 # name -> why it may stay without a caller

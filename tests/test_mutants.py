@@ -43,10 +43,17 @@ MUTANTS = [
         id="abscissa_redraw_of_n_not_of_the_missing"),
     pytest.param(
         adversary, "availability_trial",
-        "active.all(axis=0).any(axis=0)",
-        "active.any(axis=0).all(axis=0)",
-        lambda _: test_adversary.test_availability_trial_matches_one_shot_draw(64, 4, 2048),
+        "_fold(_fold(coins, m, 1, and_), w // m, m, or_)",
+        "_fold(_fold(coins, m, 1, or_), w // m, m, and_)",
+        lambda monkeypatch: test_adversary.test_availability_trial_matches_per_coin_reference(
+            monkeypatch, 16, 4, 10),
         id="availability_or_over_members_before_and_over_zones"),
+    pytest.param(
+        adversary, "_active_coins",
+        "if num >> p & 1:",
+        "if not num >> p & 1:",
+        lambda _: test_adversary.test_coin_is_active_with_probability_exactly_one_minus_rho(3, 3),
+        id="coin_plane_comparison_branches_swapped"),
     pytest.param(
         recovery, "recover_block",
         "            elif shared is not None and recomputed[block, prev] != shared:"
