@@ -97,7 +97,7 @@ def hash_corruption_trial(m: int, field_bits: int, trials: int, seed: int) -> Tr
 def _rewrites(m: int, per_zone_c, trials: int, seed: int) -> int:
     """Trials in which every zone's peers 0 to c-1 of m can rewrite node 0. Each
     zone draws a fresh key; a trial stops at the first failure. The key's peer
-    assignment is a uniform permutation drawn apart from its tree, so a fixed
+    assignment is a uniform permutation independent of its tree, so a fixed
     c-set of peers holds a uniform c-set of nodes, as c random peers would."""
     if not all(1 <= c <= m for c in per_zone_c):
         raise ConfigurationError(f"need every c in [1, {m}], got {list(per_zone_c)}")
@@ -298,7 +298,7 @@ def enumerate_keys(m: int):
     for seq in itertools.product(range(m), repeat=max(0, m - 2)):
         for root in range(m):
             tree = tree_cipher.tree_from_prufer(list(seq), m, root)
-            for flips in itertools.product((0, 1), repeat=m):
+            for flips in range(1 << m):
                 for assignment in itertools.permutations(range(m)):
                     yield CipherKey(tree, flips, assignment)
 

@@ -1,12 +1,14 @@
 """Private-key block cipher over a uniformly random rooted labeled tree.
 
-A key is (tree, flip bits, peer assignment). The block is cut into m
-positional fragments, one per tree node. Each non-root node stores its
-fragment XOR its parent's fragment; the root stores the XOR of every
-other codeword with its own fragment. A node's codeword is bit-flipped
-when its flip bit is set, and peer i holds the codeword of the node it
-is assigned to. A key serializes to its index among the key_space(m)
-keys, in the fewest bytes that hold every index.
+A key is (tree, flip bits, peer assignment), the flip bits one m-bit
+int. The block is cut into m positional fragments, one per tree node.
+Each non-root node stores its fragment XOR its parent's fragment; the
+root stores the XOR of every other codeword with its own fragment. A
+node's codeword is bit-flipped when its flip bit is set, and peer i
+holds the codeword of the node it is assigned to. The keys are one to
+one with the indices below key_space(m): serialize_key writes a key's
+index in the fewest bytes that hold every index, and sample_key, which
+draws an index, shares deserialize_key's decoder from index to key.
 """
 
 import math
@@ -49,14 +51,15 @@ class RootedTree(namedtuple("RootedTree", "parents root")):
 
 
 class CipherKey(namedtuple("CipherKey", "tree flips assignment")):
-    """assignment[i] is the node whose codeword peer i holds."""
+    """flips is an int in [0, 2^m) whose bit i is node i's flip bit;
+    assignment[i] is the node whose codeword peer i holds."""
 
     __slots__ = ()
 
-    def __new__(cls, tree: RootedTree, flips, assignment):
+    def __new__(cls, tree: RootedTree, flips: int, assignment):
         m = tree.m
-        if len(flips) != m or any(b not in (0, 1) for b in flips):
-            raise ConfigurationError("flips must be m bits")
+        if type(flips) is not int or not 0 <= flips < 1 << m:
+            raise ConfigurationError(f"flips must be an int in [0, 2^{m}), got {flips!r}")
         if sorted(assignment) != list(range(m)):
             raise ConfigurationError("assignment must be a permutation of [m]")
         return super().__new__(cls, tree, flips, assignment)
@@ -143,35 +146,14 @@ def prufer_sequence(tree: RootedTree) -> list[int]:
     return seq
 
 
-def sample_tree(m: int, rng) -> RootedTree:
-    """Uniform over the m^(m-1) rooted labeled trees: a root, then m-2 Prufer digits."""
-    if m < 1:
-        raise ConfigurationError(f"zone size must be >= 1, got m={m}")
-    draws = randbelow_list(rng.getrandbits, m, max(1, m - 1))  # the root, then the digits
-    return _prufer_tree(draws[1:], m, draws[0])
-
-
 def sample_key(m: int, rng) -> CipherKey:
-    """Uniform key: tree, i.i.d. fair flip bits, uniform peer assignment.
+    """Uniform key: the key of a uniform index below key_space(m).
 
-    The rng draws are those of m calls rng.randrange(2) and then
-    rng.shuffle(list(range(m))), bit for bit (see field.randbelow_list). The
-    key skips CipherKey's checks: the flips are 0/1 draws and the
-    assignment is a shuffle of range(m).
+    The rng draws are those of one call rng.randrange(key_space(m)), bit
+    for bit (see field.randbelow_list). Every index is one key and every
+    key one index, so the key is uniform.
     """
-    tree = sample_tree(m, rng)
-    getrandbits = rng.getrandbits
-    flips = tuple(randbelow_list(getrandbits, 2, m))
-    assignment = list(range(m))
-    for i in range(m - 1, 0, -1):
-        # randrange(i + 1)'s rejection loop, inlined: the bound changes on
-        # every draw, so randbelow_list's run of one bound does not fit
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        assignment[i], assignment[j] = assignment[j], assignment[i]
-    return CipherKey._make((tree, flips, tuple(assignment)))
+    return _key_of_index(randbelow_list(rng.getrandbits, key_space(m), 1)[0], m)
 
 
 def encrypt(block: bytes, key: CipherKey) -> list[bytes]:
@@ -187,8 +169,11 @@ def encrypt(block: bytes, key: CipherKey) -> list[bytes]:
     fl = len(block) // m
     mask = (1 << (8 * fl)) - 1
     values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(m)]
-    codes = [v ^ values[p] ^ mask if f else v ^ values[p]
-             for v, p, f in zip(values, key.tree.parents, key.flips)]
+    codes = []
+    flips = key.flips  # node i's flip bit is its low bit once shifted i times
+    for v, p in zip(values, key.tree.parents):
+        codes.append(v ^ values[p] ^ mask if flips & 1 else v ^ values[p])
+        flips >>= 1
     root = key.tree.root
     codes[root] = reduce(xor, codes, values[root])
     return [codes[node].to_bytes(fl, "big") for node in key.assignment]
@@ -214,7 +199,7 @@ def decrypt(fragments, key: CipherKey) -> bytes:
     for node, frag in zip(key.assignment, fragments):
         codes[node] = int.from_bytes(frag, "big")
     plain = [None] * m
-    plain[root] = reduce(xor, codes, mask if flips[root] else 0)
+    plain[root] = reduce(xor, codes, mask if flips >> root & 1 else 0)
     for node in range(m):
         path = []
         while plain[node] is None:
@@ -222,7 +207,7 @@ def decrypt(fragments, key: CipherKey) -> bytes:
             node = parents[node]
         for v in reversed(path):
             c = codes[v] ^ plain[parents[v]]
-            plain[v] = c ^ mask if flips[v] else c
+            plain[v] = c ^ mask if flips >> v & 1 else c
     return b"".join([v.to_bytes(fl, "big") for v in plain])
 
 
@@ -269,8 +254,8 @@ def serialize_key(key: CipherKey) -> bytes:
     """The key's index below key_space(m), as key_nbytes(m) big-endian bytes.
 
     The index is one mixed-radix integer, most significant first: the
-    m-2 Prufer digits and the root in base m, the m flip bits (flip i is
-    bit i), then the Lehmer code of the assignment (digit i, in base
+    m-2 Prufer digits and the root in base m, the flips as one digit in
+    base 2^m, then the Lehmer code of the assignment (digit i, in base
     m - i, is the rank of assignment[i] among assignment[i:]). Every
     index below key_space(m) is a key, so the bytes carry no redundancy.
     """
@@ -279,8 +264,7 @@ def serialize_key(key: CipherKey) -> bytes:
     for v in prufer_sequence(key.tree):
         index = index * m + v
     index = index * m + key.tree.root
-    for bit in reversed(key.flips):
-        index = index << 1 | bit
+    index = index << m | key.flips
     unplaced = list(range(m))
     for node in key.assignment:
         rank = unplaced.index(node)
@@ -293,26 +277,35 @@ def deserialize_key(data: bytes, m: int) -> CipherKey:
     """Invert serialize_key.
 
     Raises KeyDecodeError unless data is key_nbytes(m) bytes holding an
-    index below key_space(m); every such index decodes to a key. That
-    check is the only one: each digit is a remainder below its base, so
-    the tree and the key are built without RootedTree's and CipherKey's
-    checks.
+    index below key_space(m); every such index decodes to a key.
     """
     if len(data) != key_nbytes(m):
         raise KeyDecodeError(f"expected {key_nbytes(m)} bytes for m={m}, got {len(data)}")
     index = int.from_bytes(data, "big")
     if index >= key_space(m):
         raise KeyDecodeError(f"key index {index} is not below key_space({m})")
+    return _key_of_index(index, m)
+
+
+def _key_of_index(index: int, m: int) -> CipherKey:
+    """The key whose serialize_key index is index, for 0 <= index < key_space(m).
+
+    Each digit is a remainder below its base, so the tree and the key are
+    built without RootedTree's and CipherKey's checks.
+    """
     ranks = []
-    for base in range(1, m + 1):
-        index, rank = divmod(index, base)
-        ranks.append(rank)
+    for base in range(1, m + 1):  # % and //= cost less than a call to divmod
+        ranks.append(index % base)
+        index //= base
     unplaced = list(range(m))
+    # tuple() of a list, not of a map: a map has no length, so tuple() shrinks a larger
+    # tuple to fit, and perfbench's peak_rss_mb read 0.3-0.5 MB higher that way
     assignment = tuple([unplaced.pop(rank) for rank in reversed(ranks)])
-    flips = tuple([(index >> i) & 1 for i in range(m)])
-    index >>= m
+    index, flips = divmod(index, 1 << m)
     index, root = divmod(index, m)
-    seq = [0] * max(0, m - 2)
-    for i in range(len(seq) - 1, -1, -1):
-        index, seq[i] = divmod(index, m)
+    seq = []
+    for _ in range(m - 2):
+        seq.append(index % m)
+        index //= m
+    seq.reverse()
     return CipherKey._make((_prufer_tree(seq, m, root), flips, assignment))

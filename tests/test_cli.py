@@ -304,7 +304,7 @@ SWEEPS_AVAILABILITY = ("availability", "--n", "16", "--m", "4", "--rho", "0.5",
 
 PINNED_STDOUT = {
     ("attack", "--m", "4", "--trials", "500", "--seed", "1"):
-        "77a0339f246a1dab2b8cb793a1233534888543c293963a97254a5d1776be4afe",
+        "94b1ef804857be143253a7ce3851721c45df0e9ee90e9b6f1c245e4b3d1eef53",
     ("mining", "--trials", "20", "--seed", "3"):
         "f53e403fb2b397f61456c68e3c8aa79fa58fbe4e7bdf5d7a06dc121c326907f7",
     ("availability", "--trials", "2000", "--seed", "2"):
@@ -314,7 +314,7 @@ PINNED_STDOUT = {
     ("coverage", "--n", "24", "--m", "4", "--seed", "0"):
         "01ecea9018af1c52ea7f1254c7399fe586fa20dc76ce5d160d618708824bc9d9",
     ("simulate", "--n", "8", "--m", "4", "--blocks", "5", "--seed", "3"):
-        "1821b98eed2d4092476d52bf70155b35b36983285d4d5016808bd344af13a1fd",
+        "b93d9a4efdbae34d405c58fd631c58c7979f375e29a9ab1b86137513ca091b51",
     SWEEPS_AVAILABILITY:
         "672361e41dd4e9db6f6ec8711a558853bf9aeecb5514689a1d77346ef7fb58fc",
 }

@@ -21,7 +21,7 @@ from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law, mining_
 from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct, reconstruct_bytes
 from zoned_ledger.tree_cipher import (CipherKey, RootedTree, decrypt, encrypt, sample_key,
-                                      sample_tree, tree_from_prufer)
+                                      tree_from_prufer)
 from zoned_ledger.zones import allocation_at, layout, zone_of
 
 
@@ -261,14 +261,17 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
     (lambda: reconstruct(prime_field(16), [Share(3, 1)], 0), ConfigurationError),
     (lambda: reconstruct_bytes([Share(3, 1)], 1, -1), ConfigurationError),
     (lambda: sample_key(0, random.Random(0)), ConfigurationError),
-    (lambda: sample_tree(-1, random.Random(0)), ConfigurationError),
+    (lambda: sample_key(-1, random.Random(0)), ConfigurationError),
     (lambda: tree_from_prufer([], 0, 0), ConfigurationError),
     (lambda: tree_from_prufer([5], 3, 0), ConfigurationError),
     (lambda: RootedTree((1, 0), 0), ConfigurationError),
     (lambda: RootedTree((0, 5), 0), ConfigurationError),
     (lambda: RootedTree((0, 2, 1), 0), ConfigurationError),
-    (lambda: CipherKey(RootedTree((0, 0, 1), 0), (0, 2, 0), (0, 1, 2)), ConfigurationError),
-    (lambda: CipherKey(RootedTree((0, 0, 1), 0), (0, 0, 0), (0, 0, 1)), ConfigurationError),
+    (lambda: CipherKey(RootedTree((0, 0, 1), 0), (0, 1, 0), (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(RootedTree((0, 0, 1), 0), True, (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(RootedTree((0, 0, 1), 0), -1, (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(RootedTree((0, 0, 1), 0), 1 << 3, (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(RootedTree((0, 0, 1), 0), 0, (0, 0, 1)), ConfigurationError),
     (lambda: encrypt(bytes(5), sample_key(4, random.Random(0))), ConfigurationError),
     (lambda: decrypt([bytes(2)] * 3, sample_key(4, random.Random(0))), ConfigurationError),
     (lambda: decrypt([bytes(2)] * 3 + [bytes(3)], sample_key(4, random.Random(0))),
@@ -283,12 +286,13 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
         "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
         "mining_hash_width_7", "mining_hash_nonce_past_its_bytes",
         "mining_hash_negative_nonce", "reconstruct_threshold_0",
-        "reconstruct_bytes_negative_length", "sample_key_m_0", "sample_tree_m_negative",
+        "reconstruct_bytes_negative_length", "sample_key_m_0", "sample_key_m_negative",
         "tree_from_prufer_m_0", "tree_from_prufer_digit_past_m", "tree_root_not_own_parent",
-        "tree_parent_past_m", "tree_cycle", "key_flip_not_a_bit",
-        "key_assignment_not_a_permutation", "encrypt_block_not_divisible",
-        "decrypt_fragment_count", "decrypt_fragment_lengths", "payload_length",
-        "zone_of_peer_in_no_zone", "interpolate_no_points", "interpolate_duplicate_abscissa"])
+        "tree_parent_past_m", "tree_cycle", "key_flips_a_tuple", "key_flips_a_bool",
+        "key_flips_negative", "key_flips_past_m_bits", "key_assignment_not_a_permutation",
+        "encrypt_block_not_divisible", "decrypt_fragment_count", "decrypt_fragment_lengths",
+        "payload_length", "zone_of_peer_in_no_zone", "interpolate_no_points",
+        "interpolate_duplicate_abscissa"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
     # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
     # or (a hash width of 0 or 7) returned a hash that no chain can have, or (a
@@ -405,12 +409,13 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_of_a_pinned_chain_has_pinned_bytes_and_loads_back(tmp_path):
-    # a change to the file's bytes must come with a new SNAPSHOT_FORMAT
+    # a change to how the file lays out a chain must come with a new SNAPSHOT_FORMAT; the
+    # pinned bytes also move when the chain's key draws do, which leave the format as it is
     state, _ = make_chain(n=8, m=4, block_bytes=16, blocks=3, seed=12)
     path = tmp_path / "chain.jsonl"
     snapshot_save(state, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "faf1be2eee758fefc88d872ee451e27b396638151efb74fc68a993781651cacd"
+        "83aca425e1929288f4fb36cab17ba217a210a9231cbeb56eb9fbb5ab86f7758f"
     assert json.loads(path.read_text().splitlines()[0])["format"] == SNAPSHOT_FORMAT == 1
     loaded = snapshot_load(path)
     assert (loaded.payloads, loaded.hashes, loaded.records) == \

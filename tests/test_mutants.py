@@ -25,7 +25,7 @@ from zoned_ledger import adversary, ledger, recovery, shamir, tree_cipher
 MUTANTS = [
     pytest.param(
         tree_cipher, "decrypt",
-        "plain[root] = reduce(xor, codes, mask if flips[root] else 0)",
+        "plain[root] = reduce(xor, codes, mask if flips >> root & 1 else 0)",
         "plain[root] = reduce(xor, codes, 0)",
         lambda _: test_tree_cipher.test_round_trip_random(3),
         id="decrypt_drops_the_root_flip"),
@@ -35,6 +35,18 @@ MUTANTS = [
         "codes[root] = reduce(xor, codes + [codes[root]], values[root])",
         lambda _: test_tree_cipher.test_round_trip_random(3),
         id="encrypt_folds_the_root_codeword_twice"),
+    pytest.param(
+        tree_cipher, "_key_of_index",
+        "index, flips = divmod(index, 1 << m)",
+        "index, flips = divmod(index, 1 << (m - 1))",
+        lambda _: test_tree_cipher.test_every_index_is_a_distinct_key_of_enumerate_keys(3),
+        id="decoder_splits_off_one_flip_bit_too_few"),
+    pytest.param(
+        tree_cipher, "sample_key",
+        "randbelow_list(rng.getrandbits, key_space(m), 1)",
+        "randbelow_list(rng.getrandbits, key_space(m) - 1, 1)",
+        lambda _: test_tree_cipher.test_sample_key_decodes_one_randrange_index(2),
+        id="sample_key_draws_below_one_key_too_few"),
     pytest.param(
         shamir, "_sample_abscissas",
         "randbelow_list(rng.getrandbits, bound - 1, n - len(drawn))",

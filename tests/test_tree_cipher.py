@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoned_ledger.adversary import zone_corruption_exact
+from zoned_ledger.adversary import enumerate_keys, zone_corruption_exact
 from zoned_ledger.errors import ConfigurationError, KeyDecodeError
 from zoned_ledger.tree_cipher import (CipherKey, RootedTree, corruption_oracle,
                                       decrypt, deserialize_key, encrypt, key_nbytes,
-                                      key_space, prufer_sequence, sample_key, sample_tree,
-                                      serialize_key, tree_from_prufer)
+                                      key_space, prufer_sequence, sample_key, serialize_key,
+                                      tree_from_prufer)
 
 
 def all_rooted_trees(m):
@@ -59,11 +59,11 @@ def encode_values(values, key, mask):
         if i == root:
             continue
         c = values[i] ^ values[parents[i]]
-        if flips[i]:
+        if flips >> i & 1:
             c ^= mask
         codes[i] = c
         acc ^= c
-    codes[root] = acc ^ mask if flips[root] else acc
+    codes[root] = acc ^ mask if flips >> root & 1 else acc
     return codes
 
 
@@ -75,7 +75,7 @@ def decode_values(codes, key, mask):
     """
     m, root = key.m, key.tree.root
     parents, flips = key.tree.parents, key.flips
-    root_code = codes[root] ^ mask if flips[root] else codes[root]
+    root_code = codes[root] ^ mask if flips >> root & 1 else codes[root]
     plain = [None] * m
     plain[root] = reduce(lambda a, j: a ^ codes[j],
                          (j for j in range(m) if j != root), root_code)
@@ -85,7 +85,7 @@ def decode_values(codes, key, mask):
             path.append(node)
             node = parents[node]
         for v in reversed(path):
-            c = codes[v] ^ mask if flips[v] else codes[v]
+            c = codes[v] ^ mask if flips >> v & 1 else codes[v]
             plain[v] = c ^ plain[parents[v]]
     return plain
 
@@ -103,8 +103,8 @@ def reference_deserialize_key(data, m):
         ranks.append(rank)
     unplaced = list(range(m))
     assignment = tuple(unplaced.pop(rank) for rank in reversed(ranks))
-    flips = tuple((index >> i) & 1 for i in range(m))
-    index >>= m
+    flips = index % 2**m
+    index //= 2**m
     index, root = divmod(index, m)
     seq = [0] * max(0, m - 2)
     for i in range(len(seq) - 1, -1, -1):
@@ -157,7 +157,7 @@ def test_deserialize_key_matches_the_reference(m_data):
         return
     key = deserialize_key(data, m)
     assert key == expected
-    assert type(key.flips) is tuple and type(key.assignment) is tuple
+    assert type(key.flips) is int and type(key.assignment) is tuple
 
 
 @pytest.mark.parametrize("m,expected", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625)])
@@ -170,7 +170,7 @@ def test_sample_key_m1():
     key = sample_key(1, random.Random(0))
     assert key.tree == RootedTree((0,), 0)
     assert key.assignment == (0,)
-    assert len(key.flips) == 1
+    assert key.flips in (0, 1)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -179,7 +179,7 @@ def test_tree_sampling_uniform(m):
     n = 100_000
     counts = Counter()
     for _ in range(n):
-        t = sample_tree(m, rng)
+        t = sample_key(m, rng).tree
         counts[(t.parents, t.root)] += 1
     k = m ** (m - 1)
     assert len(counts) == k
@@ -191,7 +191,7 @@ def test_tree_sampling_uniform(m):
 
 def test_encrypt_hand_example_m2():
     # path on 2 nodes, root = node 0, no flips, identity assignment
-    key = CipherKey(RootedTree((0, 0), 0), (0, 0), (0, 1))
+    key = CipherKey(RootedTree((0, 0), 0), 0, (0, 1))
     frags = encrypt(b"\xff\x00", key)
     assert frags[1] == b"\xff"  # B_1 xor B_0
     assert frags[0] == b"\x00"  # C~_1 xor B_0
@@ -199,7 +199,7 @@ def test_encrypt_hand_example_m2():
 
 
 def test_m1_flip_complements():
-    key = CipherKey(RootedTree((0,), 0), (1,), (0,))
+    key = CipherKey(RootedTree((0,), 0), 1, (0,))
     block = b"\xa5\x0f"
     assert encrypt(block, key) == [b"\x5a\xf0"]
     assert decrypt([b"\x5a\xf0"], key) == block
@@ -255,7 +255,7 @@ def test_corruption_oracle_trivial_cases():
 
 def test_corruption_oracle_path_example():
     # path root -> a -> b (nodes 0 -> 1 -> 2), identity assignment
-    key = CipherKey(RootedTree((0, 0, 1), 0), (0, 0, 0), (0, 1, 2))
+    key = CipherKey(RootedTree((0, 0, 1), 0), 0, (0, 1, 2))
     assert corruption_oracle(key, {2, 0}, {2})
     assert not corruption_oracle(key, {2}, {2})
     # altering the middle node drags its subtree {1, 2} plus the root
@@ -266,7 +266,7 @@ def test_corruption_oracle_path_example():
 def test_corruption_oracle_matches_exhaustive_rewrite():
     # cross-check on the 3-node path: a rewrite confined to the corrupted
     # peers can flip fragment b (and only b) iff the oracle says so
-    key = CipherKey(RootedTree((0, 0, 1), 0), (0, 1, 0), (0, 1, 2))
+    key = CipherKey(RootedTree((0, 0, 1), 0), 0b010, (0, 1, 2))
     block = b"\x13\x77\xc2"
     frags = encrypt(block, key)
     target = bytearray(block)
@@ -314,9 +314,9 @@ def test_rooted_tree_rejects_bad_parents(parents, root):
         RootedTree(parents, root)
 
 
-@pytest.mark.parametrize("flips,assignment", [((0, 2, 1), (0, 1, 2)), ((0, 1), (0, 1, 2)),
-                                               ((0, 0, 0), (0, 1, 1)), ((0, 0, 0), (0, 1, 3)),
-                                               ((0, 0, 0), (0, 1))])
+@pytest.mark.parametrize("flips,assignment", [((0, 1, 0), (0, 1, 2)), (True, (0, 1, 2)),
+                                               (-1, (0, 1, 2)), (1 << 3, (0, 1, 2)),
+                                               (0, (0, 1, 1)), (0, (0, 1, 3)), (0, (0, 1))])
 def test_cipher_key_rejects_bad_flips_or_assignment(flips, assignment):
     with pytest.raises(ValueError):
         CipherKey(RootedTree((0, 0, 1), 0), flips, assignment)
@@ -352,22 +352,21 @@ def test_rooted_tree_accepts_what_the_reference_walk_accepts(case):
     assert accepted == reference_is_rooted_tree(parents, root)
 
 
-def reference_sample_key(m, rng):
-    """sample_key as randrange and shuffle draw it."""
-    root = rng.randrange(m)
-    seq = [rng.randrange(m) for _ in range(m - 2)]
-    flips = tuple(rng.randrange(2) for _ in range(m))
-    assignment = list(range(m))
-    rng.shuffle(assignment)
-    return CipherKey(tree_from_prufer(seq, m, root), flips, tuple(assignment))
-
-
 @pytest.mark.parametrize("m", range(1, 17))
-def test_sample_key_draws_what_randrange_and_shuffle_draw(m):
-    ours, theirs = random.Random(m), random.Random(m)
-    for _ in range(50):
-        assert sample_key(m, ours) == reference_sample_key(m, theirs)
-    assert ours.getstate() == theirs.getstate()
+def test_sample_key_decodes_one_randrange_index(m):
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        index = theirs.randrange(key_space(m))
+        assert sample_key(m, ours) == reference_deserialize_key(_index_bytes(index, m), m)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_every_index_is_a_distinct_key_of_enumerate_keys(m):
+    # the codec is a bijection onto all keys, so a uniform index is a uniform key
+    keys = [deserialize_key(_index_bytes(index, m), m) for index in range(key_space(m))]
+    assert len(set(keys)) == len(keys) == key_space(m)
+    assert set(keys) == set(enumerate_keys(m))
 
 
 def test_statistical_security_of_missing_fragment():
@@ -376,7 +375,7 @@ def test_statistical_security_of_missing_fragment():
     m, mask = 3, 1
     keys = [CipherKey(t, flips, assignment)
             for t in all_rooted_trees(m)
-            for flips in itertools.product((0, 1), repeat=m)
+            for flips in range(1 << m)
             for assignment in itertools.permutations(range(m))]
     for block in itertools.product((0, 1), repeat=m):
         for j in range(m):
@@ -512,3 +511,23 @@ def test_arbitrary_bytes_give_a_key_or_key_decode_error(m_data):
         return
     assert isinstance(key, CipherKey) and key.m == m
     assert serialize_key(key) == data
+
+
+# key bytes, and the fragments encrypt gives for bytes(range(48)) under their key; these
+# are the bytes of a saved chain, so a change here makes old snapshots unreadable
+CODEC_PINS = [
+    (4, "2f20", "c3c3c3c3cbcbcbcbf3f3f3f33c3d3e3f30313233040506070c0c0c0c141414141c1c1c1c"
+                "d7d7d7d7c7c7c7c7c7c7c7c7"),
+    (8, "12976868edcd", "1e1e1a1a0606f7f6c5c4d3d20a0a0e0e0a0ac7c7c7c7c7c734340c0c0c0c1e1e1212"
+                        "16163a3a06060a0ad5d5d1d1d5d5"),
+    (16, "00eb014340f3ac7dddbca257ee27aae9", "d6d0d6e7e7e7070503e8eeec36363222222e2e2a2a0b0937"
+                                             "fcfaf8e3ead9f9e5e5fcfaf80a0a0e0c0c0c2838382b3537"),
+]
+
+
+@pytest.mark.parametrize("m,key_hex,fragments_hex", CODEC_PINS, ids=[4, 8, 16])
+def test_pinned_key_bytes_give_pinned_fragments(m, key_hex, fragments_hex):
+    data = bytes.fromhex(key_hex)
+    key = deserialize_key(data, m)
+    assert serialize_key(key) == data
+    assert b"".join(encrypt(bytes(range(48)), key)).hex() == fragments_hex

@@ -23,7 +23,7 @@ VALUES = {
     "ChainConfig": lambda: ChainConfig(24, 4, 48),
     "DifficultyTarget": lambda: DifficultyTarget(64, 0.5),
     "RootedTree": lambda: RootedTree((0, 0, 1), 0),
-    "CipherKey": lambda: CipherKey(RootedTree((0, 0, 1), 0), (0, 1, 0), (2, 0, 1)),
+    "CipherKey": lambda: CipherKey(RootedTree((0, 0, 1), 0), 0b010, (2, 0, 1)),
     "GroupLayout": lambda: layout(24, 4),
     "MiningResult": lambda: mine(b"prev", DifficultyTarget(64, 0.5), 16, random.Random(0)),
     "TrialSummary": lambda: zone_corruption_trial(4, 2, 10, 0),
@@ -62,10 +62,14 @@ TREE = RootedTree((0, 0, 1), 0)
     (lambda: DifficultyTarget(4, 0.5), ConfigurationError),
     (lambda: RootedTree((1, 0), 0), ConfigurationError),
     (lambda: RootedTree((0, 2, 1, 2), 0), ConfigurationError),
-    (lambda: CipherKey(TREE, (0, 2, 0), (0, 1, 2)), ConfigurationError),
-    (lambda: CipherKey(TREE, (0, 0, 0), (0, 0, 1)), ConfigurationError),
+    (lambda: CipherKey(TREE, (0, 1, 0), (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(TREE, True, (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(TREE, -1, (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(TREE, 1 << 3, (0, 1, 2)), ConfigurationError),
+    (lambda: CipherKey(TREE, 0, (0, 0, 1)), ConfigurationError),
 ], ids=["config_m_odd", "config_block_bytes", "config_hash_width", "target_fraction",
-        "target_width", "tree_root", "tree_cycle", "key_flips", "key_assignment"])
+        "target_width", "tree_root", "tree_cycle", "key_flips_tuple", "key_flips_bool",
+        "key_flips_negative", "key_flips_past_m_bits", "key_assignment"])
 def test_value_types_reject_bad_arguments(make, error):
     with pytest.raises(ValueError) as excinfo:
         make()
