@@ -149,6 +149,8 @@ def zone_corruption_exact(m: int, c: int) -> float:
 def joint_corruption_bound(n: int, m: int, per_zone_c) -> float:
     """exp((n/m) * log(2 * sum(c_i) / n)), the joint corruption bound."""
     layout(n, m)
+    if not all(0 <= c < math.inf for c in per_zone_c):  # NaN fails both comparisons
+        raise ConfigurationError(f"need every c finite and >= 0, got {list(per_zone_c)}")
     total = sum(per_zone_c)
     if total <= 0:
         return 0.0

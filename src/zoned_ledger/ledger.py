@@ -53,6 +53,9 @@ class ChainConfig(namedtuple("ChainConfig", "n m block_bytes hash_width")):
     __slots__ = ()
 
     def __new__(cls, n: int, m: int, block_bytes: int, hash_width: int = 64):
+        for name, value in zip(cls._fields, (n, m, block_bytes, hash_width)):
+            if type(value) is not int:  # no bool, no float
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         zones.layout(n, m)
         if block_bytes <= 0 or block_bytes % m != 0:
             raise ConfigurationError(
@@ -266,11 +269,11 @@ def storage_cost_formula(q_bits: float, p_bits: float, m: int) -> tuple[float, f
     zone-coded cost: 1/m of the block, the tree-cipher key entropy of
     2m*log2(m) bits, two hash-width terms, plus the flip bit.
     """
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
+    if not 1 <= m < math.inf:
+        raise ConfigurationError(f"m must be finite and >= 1, got {m}")
     for name, bits in (("q_bits", q_bits), ("p_bits", p_bits)):
-        if bits < 0:
-            raise ConfigurationError(f"{name} must be >= 0, got {bits}")
+        if not 0 <= bits < math.inf:  # NaN fails both comparisons
+            raise ConfigurationError(f"{name} must be finite and >= 0, got {bits}")
     baseline = q_bits + p_bits
     key_bits = 2 * m * math.log2(m) if m > 1 else 0.0
     distributed = q_bits / m + key_bits + 2 * p_bits + 1

@@ -121,8 +121,12 @@ def _low_byte_runs(lo: int, hi: int):
 
 def urn_expected_draws(blue: int, red: int) -> Fraction:
     """Expected draws without replacement until the first blue ball."""
+    if type(blue) is not int or type(red) is not int:  # no float, NaN included
+        raise ConfigurationError(f"ball counts must be ints, got {blue!r} and {red!r}")
     if blue < 1:
         raise ConfigurationError("need at least one blue ball")
+    if red < 0:
+        raise ConfigurationError(f"need red >= 0 balls, got {red}")
     return Fraction(blue + red + 1, blue + 1)
 
 

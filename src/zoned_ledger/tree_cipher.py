@@ -9,6 +9,16 @@ holds the codeword of the node it is assigned to. The keys are one to
 one with the indices below key_space(m): serialize_key writes a key's
 index in the fewest bytes that hold every index, and sample_key, which
 draws an index, shares deserialize_key's decoder from index to key.
+
+A commit encodes one block under n/m fresh keys, so two private slots keep
+the work those encodings share, each one tuple that is read and replaced
+whole (so no thread pairs one block's or key's parts with another's):
+- encrypt keeps the last bytes block it split, with its m and fragment
+  values. bytes are immutable, so an equal block at the same m splits to
+  the same values; a bytearray or memoryview is split on every call.
+- sample_key keeps the last key it drew, with its index. The slot holds
+  the key, so no other object can take its identity, and a key never
+  changes, so serialize_key of that same object is its index's bytes.
 """
 
 import math
@@ -18,6 +28,9 @@ from operator import xor
 
 from .errors import ConfigurationError, KeyDecodeError
 from .field import randbelow_list
+
+_split = (None, 0, None)  # (the last bytes block encrypt split, its m, its fragment values)
+_drawn = (None, 0)  # (the last key sample_key drew, its index below key_space(m))
 
 
 class RootedTree(namedtuple("RootedTree", "parents root")):
@@ -151,9 +164,14 @@ def sample_key(m: int, rng) -> CipherKey:
 
     The rng draws are those of one call rng.randrange(key_space(m)), bit
     for bit (see field.randbelow_list). Every index is one key and every
-    key one index, so the key is uniform.
+    key one index, so the key is uniform. The key and its index are kept
+    for serialize_key.
     """
-    return _key_of_index(randbelow_list(rng.getrandbits, key_space(m), 1)[0], m)
+    global _drawn
+    index = randbelow_list(rng.getrandbits, key_space(m), 1)[0]
+    key = _key_of_index(index, m)
+    _drawn = key, index
+    return key
 
 
 def encrypt(block: bytes, key: CipherKey) -> list[bytes]:
@@ -161,14 +179,20 @@ def encrypt(block: bytes, key: CipherKey) -> list[bytes]:
 
     A node's codeword is its fragment XOR its parent's, flipped by its
     flip bit; the root's own term is then 0 or the flip mask, so the
-    root's codeword is its fragment XOR every node's term.
+    root's codeword is its fragment XOR every node's term. A bytes block
+    equal to the last one split at this m is not split again.
     """
+    global _split
     m = key.m
     if len(block) % m != 0:
         raise ConfigurationError(f"block length {len(block)} not divisible by m={m}")
     fl = len(block) // m
     mask = (1 << (8 * fl)) - 1
-    values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(m)]
+    last, last_m, values = _split
+    if type(block) is not bytes or last_m != m or block != last:
+        values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(m)]
+        if type(block) is bytes:
+            _split = block, m, values
     codes = []
     flips = key.flips  # node i's flip bit is its low bit once shifted i times
     for v, p in zip(values, key.tree.parents):
@@ -258,7 +282,11 @@ def serialize_key(key: CipherKey) -> bytes:
     base 2^m, then the Lehmer code of the assignment (digit i, in base
     m - i, is the rank of assignment[i] among assignment[i:]). Every
     index below key_space(m) is a key, so the bytes carry no redundancy.
+    The key sample_key drew last is written from the index it drew.
     """
+    drawn, index = _drawn
+    if drawn is key:
+        return index.to_bytes(key_nbytes(key.m), "big")
     m = key.m
     index = 0
     for v in prufer_sequence(key.tree):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoned_ledger.adversary import rewrite_chain_suffix, rewrite_zone_block
+from zoned_ledger.adversary import (joint_corruption_bound, rewrite_chain_suffix,
+                                   rewrite_zone_block)
 from zoned_ledger.errors import (ConfigurationError, InsufficientSharesError,
                                  SlotError, SnapshotError, UnrepairableError)
 from zoned_ledger.field import Field, prime_field
@@ -17,7 +18,8 @@ from zoned_ledger.ledger import (GENESIS_HASH, SNAPSHOT_FORMAT, ChainConfig, Cha
                                  hash_field, hash_step, share_field,
                                  snapshot_load, snapshot_save,
                                  storage_cost_formula)
-from zoned_ledger.mining import DifficultyTarget, mine, mining_cost_law, mining_hash
+from zoned_ledger.mining import (DifficultyTarget, mine, mining_cost_law, mining_hash,
+                                urn_expected_draws)
 from zoned_ledger.recovery import recover_block
 from zoned_ledger.shamir import Share, reconstruct, reconstruct_bytes
 from zoned_ledger.tree_cipher import (CipherKey, RootedTree, decrypt, encrypt, sample_key,
@@ -281,6 +283,17 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
     (lambda: zone_of(allocation_at(layout(8, 4), 0), 99), SlotError),
     (lambda: prime_field(16).lagrange_interpolate([], 0), ConfigurationError),
     (lambda: prime_field(16).lagrange_interpolate([(3, 1), (3, 2)], 0), ConfigurationError),
+    (lambda: ChainConfig(8.0, 4, 8, 64), ConfigurationError),
+    (lambda: ChainConfig(8, 4.0, 8, 64), ConfigurationError),
+    (lambda: ChainConfig(8, 4, 8.0, 64), ConfigurationError),
+    (lambda: ChainConfig(8, 4, 8, 64.0), ConfigurationError),
+    (lambda: ChainConfig(8, 4, 8, "64"), ConfigurationError),
+    (lambda: storage_cost_formula(math.nan, 256, 8), ConfigurationError),
+    (lambda: storage_cost_formula(math.inf, 256, 8), ConfigurationError),
+    (lambda: storage_cost_formula(1024, 256, math.nan), ConfigurationError),
+    (lambda: urn_expected_draws(1, -5), ConfigurationError),
+    (lambda: urn_expected_draws(1, math.nan), ConfigurationError),
+    (lambda: joint_corruption_bound(8, 4, [math.nan]), ConfigurationError),
 ], ids=["hash_past_width", "negative_hash", "duplicate_abscissa", "negative_nonce_bits",
         "negative_q_bits", "hash_width_300", "hash_width_negative", "hash_width_0",
         "hash_width_7", "mining_hash_negative_nonce_bits", "mining_hash_width_300",
@@ -292,11 +305,16 @@ def test_previous_hash_past_its_bytes_is_a_configuration_error(width, prev_hash,
         "key_flips_negative", "key_flips_past_m_bits", "key_assignment_not_a_permutation",
         "encrypt_block_not_divisible", "decrypt_fragment_count", "decrypt_fragment_lengths",
         "payload_length", "zone_of_peer_in_no_zone", "interpolate_no_points",
-        "interpolate_duplicate_abscissa"])
+        "interpolate_duplicate_abscissa", "config_n_float", "config_m_float",
+        "config_block_bytes_float", "config_hash_width_float", "config_hash_width_str",
+        "storage_cost_q_bits_nan", "storage_cost_q_bits_inf", "storage_cost_m_nan",
+        "urn_negative_red", "urn_nan_red", "joint_bound_c_nan"])
 def test_malformed_input_raises_a_typed_error_not_a_bare_one(call, error):
     # each of these raised a bare OverflowError or ValueError from a shift or to_bytes,
     # or (a hash width of 0 or 7) returned a hash that no chain can have, or (a
-    # threshold of 0) an InsufficientSharesError for "fewer than 0 distinct shares"
+    # threshold of 0) an InsufficientSharesError for "fewer than 0 distinct shares",
+    # or (a config field that is no int) a bare TypeError once used, or (a NaN,
+    # infinite or negative input to a closed form) a NaN, infinite or negative value
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

@@ -48,6 +48,18 @@ MUTANTS = [
         lambda _: test_tree_cipher.test_sample_key_decodes_one_randrange_index(2),
         id="sample_key_draws_below_one_key_too_few"),
     pytest.param(
+        tree_cipher, "serialize_key",
+        "if drawn is key:",
+        "if drawn is not None:",
+        lambda _: test_tree_cipher.test_serialize_key_of_a_drawn_key_matches_the_full_encoder(4),
+        id="serialize_key_answers_any_key_from_the_drawn_index"),
+    pytest.param(
+        tree_cipher, "encrypt",
+        "last_m != m or ",
+        "",
+        lambda _: test_tree_cipher.test_encrypt_of_a_block_it_split_before_matches_the_reference(),
+        id="encrypt_reuses_a_split_made_at_another_m"),
+    pytest.param(
         shamir, "_sample_abscissas",
         "randbelow_list(rng.getrandbits, bound - 1, n - len(drawn))",
         "randbelow_list(rng.getrandbits, bound - 1, n)",

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -67,6 +69,14 @@ def encode_values(values, key, mask):
     return codes
 
 
+def reference_encrypt(block, key):
+    """encrypt with the block split anew and encoded node by node."""
+    fl = len(block) // key.m
+    values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(key.m)]
+    codes = encode_values(values, key, (1 << (8 * fl)) - 1)
+    return [codes[node].to_bytes(fl, "big") for node in key.assignment]
+
+
 def decode_values(codes, key, mask):
     """Invert encode_values, node-indexed in and out: the reference for decrypt.
 
@@ -128,10 +138,8 @@ def test_encrypt_and_decrypt_match_the_node_by_node_reference(case, data):
     assert key == reference_deserialize_key(key_bytes, m)
     mask = (1 << (8 * fl)) - 1
     block = data.draw(st.binary(min_size=m * fl, max_size=m * fl))
-    values = [int.from_bytes(block[i * fl:(i + 1) * fl], "big") for i in range(m)]
-    codes = encode_values(values, key, mask)
     fragments = encrypt(block, key)
-    assert fragments == [codes[node].to_bytes(fl, "big") for node in key.assignment]
+    assert fragments == reference_encrypt(block, key)
     # any m fragments decrypt to something, not only encrypt's
     for frags in (fragments, data.draw(st.lists(st.binary(min_size=fl, max_size=fl),
                                                 min_size=m, max_size=m))):
@@ -399,6 +407,68 @@ def test_serialize_round_trip(m):
         data = serialize_key(key)
         assert len(data) == key_nbytes(m)
         assert deserialize_key(data, m) == key
+
+
+def test_encrypt_of_a_block_it_split_before_matches_the_reference():
+    # encrypt keeps the values of the last bytes block it split, at its m: a hit needs
+    # an equal block and the same m (one block at m = 8 then 4 would reuse eight
+    # 6-byte values for four 12-byte fragments), and a bytearray is never kept
+    rng = random.Random(5)
+    keys = {m: sample_key(m, rng) for m in (2, 4, 8)}
+    a, b = bytes(range(7, 55)), bytes(range(100, 148))
+    for block, m in [(a, 8), (a, 4), (a, 2), (a, 8), (b, 8), (a, 8), (b, 8),
+                     (bytes(bytearray(b)), 8), (b[:24] + b[24:], 8), (memoryview(b), 4)]:
+        assert encrypt(block, keys[m]) == reference_encrypt(block, keys[m])
+    mutable = bytearray(a)
+    for i in range(3):  # changed in place between calls
+        mutable[i] ^= 0xFF
+        assert encrypt(mutable, keys[4]) == reference_encrypt(bytes(mutable), keys[4])
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_serialize_key_of_a_drawn_key_matches_the_full_encoder(m):
+    # serialize_key writes the key sample_key drew last from the index it drew; an
+    # equal copy, and any other key, go through the full encoder
+    rng = random.Random(m)
+    for _ in range(20):
+        key = sample_key(m, rng)
+        data = serialize_key(key)
+        assert data == serialize_key(CipherKey(*key))
+        assert deserialize_key(data, m) == key
+        other = _index_bytes((int.from_bytes(data, "big") + 1) % key_space(m), m)
+        assert serialize_key(deserialize_key(other, m)) == other
+
+
+def test_slots_stay_exact_under_threads():
+    # each slot is one tuple, read and replaced whole, so no thread switch pairs one
+    # thread's key with another's index, or one block with another's values; four
+    # threads on a short switch interval, bounded in time
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        block = bytes(rng.getrandbits(8) for _ in range(48))
+        try:
+            for _ in range(300):
+                key = sample_key(rng.choice((2, 4, 6, 8)), rng)
+                if (serialize_key(key) != serialize_key(CipherKey(*key))
+                        or encrypt(block, key) != reference_encrypt(block, key)):
+                    failures.append(seed)
+        except Exception as exc:  # a thread's exception would otherwise be only a warning
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_serialize_truncated_rejected():
